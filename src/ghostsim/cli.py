@@ -111,7 +111,7 @@ def write_manifest(path: Path, command: str, config: ExperimentConfig,
         "command": command,
         "version": __version__,
         "config": config.to_dict(),
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": sorted(Path(o).relative_to(path.parent).as_posix() for o in outputs),
         "sampling_notes": list(notes),
     }
     with open(path, "w", newline="\n") as fh:

@@ -36,7 +36,8 @@ from .analysis import (
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
 from .errors import ConfigError, RecordFormatError
-from .fields import RealPattern, RngStream, SourceSpec, draw_source_samples
+from .fields import RealPattern, SourceSpec, fill_source_block
+from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
 from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
 from .propagation import (
@@ -104,13 +105,9 @@ class GhostPipeline:
         Returns i1 with shape (B,) and i2 with shape (B, P), both C-ordered;
         replaying the same numbers from disk folds bitwise identically.
         """
-        count = stop - start
         m = self.source_spec.grid.shape[0]
-        fields = np.empty((m, count), dtype=np.complex128)
-        seed = self.config.seed
-        for j in range(count):
-            stream = RngStream(seed, index_base + start + j)
-            fields[:, j] = draw_source_samples(self.source_spec, stream)
+        fields = np.zeros((m, stop - start), dtype=np.complex128)
+        fill_source_block(self.source_spec, self.config.seed, index_base + start, fields)
         a1 = self.test_weights @ fields
         i1 = a1.real * a1.real + a1.imag * a1.imag
         a2 = self.ref_matrix @ fields
@@ -377,10 +374,9 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         done = 0
         while done < config.speckle_n:
             count = min(per_batch, config.speckle_n - done)
-            fields = np.empty((count, m, m), dtype=np.complex128)
-            for j in range(count):
-                stream = RngStream(config.seed, index_base + done + j)
-                fields[j] = draw_source_samples(spec, stream)
+            fields = np.zeros((count, m, m), dtype=np.complex128)
+            fill_source_block(spec, config.seed, index_base + done,
+                              fields.reshape(count, m * m).T)
             amps = kern.apply(fields)
             i2 = amps.real * amps.real + amps.imag * amps.imag
             if snapshot is None:

@@ -9,6 +9,7 @@ delta-correlated across the source plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,6 +18,7 @@ from .errors import GeometryError, GridMismatchError
 from .grids import Grid
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 32  # realizations drawn per pass of the vectorized phase/amplitude steps
 
 
 @dataclass(eq=False)
@@ -112,25 +114,74 @@ class SourceSpec:
         y = self.grid.coords(1)[None, :]
         return x * x + y * y <= half * half
 
+    @cached_property
+    def aperture_indices(self) -> np.ndarray:
+        """Flat row-major indices of the in-aperture pixels, computed once."""
+        idx = np.flatnonzero(self.aperture_mask().ravel())
+        idx.flags.writeable = False  # shared by every draw from this spec
+        return idx
+
+
+def fill_source_block(spec: SourceSpec, seed: int, first_index: int,
+                      out: np.ndarray) -> None:
+    """Write realizations first_index, first_index + 1, ... into the columns of out.
+
+    ``out`` has shape (grid.npoints, B) with row-major flat pixels along axis 0;
+    only its in-aperture rows are written, so pass a zeroed block.  Column j
+    is bitwise the realization drawn by ``RngStream(seed, first_index + j)``:
+    one Philox is re-keyed to (seed, index) with a zero counter for every
+    column, which is exactly the state ``Philox(key=...)`` starts from.  For
+    each realization the amplitudes for every in-aperture pixel are drawn
+    first (at unit scale), then the phases, in fixed row-major order; the
+    amplitude is multiplied by sigma afterwards, so two calls with the same
+    stream and different sigma2 give exactly proportional fields.
+    """
+    if first_index < 0:
+        raise ValueError("first_index must be >= 0")
+    idx = spec.aperture_indices
+    count = out.shape[1]
+    bitgen = Philox()
+    rng = Generator(bitgen)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer empty: the next draw runs Philox on counter 0
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    key[0] = seed & _MASK64
+    sigma = np.sqrt(spec.sigma2)
+    rows = min(_CHUNK, count)
+    amp = np.empty((rows, idx.size))
+    phase = np.empty((rows, idx.size))
+    z = np.empty((rows, idx.size), dtype=np.complex128)
+    for a in range(0, count, _CHUNK):
+        k = min(_CHUNK, count - a)
+        for r in range(k):
+            key[1] = (first_index + a + r) & _MASK64
+            bitgen.state = state
+            amp[r] = rng.rayleigh(size=idx.size)
+            rng.random(out=phase[r])
+        u, zk, ak = phase[:k], z[:k], amp[:k]
+        np.subtract(1.0, u, out=u)
+        u *= 2.0 * np.pi  # uniform on (0, 2*pi]
+        # exp(0 + j*phase) as the complex exp, which is what exp(1j * phase)
+        # computes; cos/sin would match it bitwise only on some libm builds.
+        zk.real = 0.0
+        zk.imag = u
+        np.exp(zk, out=zk)
+        ak *= sigma
+        zk *= ak
+        out[idx, a : a + k] = zk.T
+
 
 def draw_source_samples(spec: SourceSpec, stream: RngStream) -> np.ndarray:
-    """Raw complex samples of one realization (zeros outside the aperture).
-
-    Amplitudes for every in-aperture pixel are drawn first (at unit scale),
-    then phases, in fixed row-major order; the amplitude is multiplied by
-    sigma afterwards, so two calls with the same stream and different sigma2
-    give exactly proportional fields.
-    """
-    rng = stream.generator()
-    mask = spec.aperture_mask()
-    idx = np.flatnonzero(mask.ravel())
-    amp = rng.rayleigh(size=idx.size)
-    u = rng.random(idx.size)
-    phase = (2.0 * np.pi) * (1.0 - u)  # uniform on (0, 2*pi]
-    sigma = np.sqrt(spec.sigma2)
-    out = np.zeros(mask.size, dtype=np.complex128)
-    out[idx] = (sigma * amp) * np.exp(1j * phase)
-    return out.reshape(mask.shape)
+    """Raw complex samples of one realization (zeros outside the aperture)."""
+    out = np.zeros((spec.grid.npoints, 1), dtype=np.complex128)
+    fill_source_block(spec, stream.seed, stream.realization_index, out)
+    return out.reshape(spec.grid.shape)
 
 
 def sample_source(spec: SourceSpec, stream: RngStream, wavelength: float) -> ComplexField:

@@ -70,6 +70,18 @@ def test_manifest_echoes_exact_configuration(tmp_path):
         assert (out / entry.split("/")[-1]).exists()
 
 
+def test_manifest_is_independent_of_out_dir(tmp_path):
+    cfg = write_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "nested" / "b"
+    for out in (a, b):
+        assert main(["converge", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    doc = json.loads((a / "manifest.json").read_text())
+    assert doc["outputs"] == sorted(
+        ["curve.csv", "pattern_N200.csv", "pattern_N500.csv", "records.gidat"]
+    )
+
+
 def test_replay_reproduces_files_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     live, again = tmp_path / "live", tmp_path / "again"

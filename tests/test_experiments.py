@@ -18,7 +18,7 @@ from ghostsim.experiments import (
     run_speckle,
     run_threshold,
 )
-from ghostsim.fields import RngStream, sample_source
+from ghostsim.fields import RngStream, draw_source_samples, sample_source
 from ghostsim.objects import apply_mask, double_slit
 from ghostsim.propagation import fresnel_kernel, propagate, propagate_to_point
 from ghostsim.records import RecordWriter
@@ -63,6 +63,29 @@ def test_collapsed_pipeline_matches_stepwise_chain():
     got_i1, got_i2 = pipe.run_realization(5)
     assert got_i1 == pytest.approx(want_i1, rel=1e-10)
     np.testing.assert_allclose(got_i2.samples, want_i2, rtol=1e-10, atol=0.0)
+
+
+def test_batch_intensities_match_columnwise_construction():
+    # The batch (128, 200) is cut short by the checkpoint at 200, and its 72
+    # columns span several draw chunks.
+    cfg = small_config()
+    pipe = GhostPipeline.from_config(cfg)
+    a, b = batch_bounds(500, cfg.schedule, cfg.batch)[1]
+    assert (a, b) == (128, 200)
+    index_base = 3 << 40
+    fields = np.zeros((cfg.source_points, b - a), dtype=np.complex128)
+    for j in range(b - a):
+        stream = RngStream(cfg.seed, index_base + a + j)
+        fields[:, j] = draw_source_samples(pipe.source_spec, stream)
+    a1 = pipe.test_weights @ fields
+    want_i1 = a1.real * a1.real + a1.imag * a1.imag
+    a2 = pipe.ref_matrix @ fields
+    want_i2 = np.ascontiguousarray((a2.real * a2.real + a2.imag * a2.imag).T)
+
+    i1, i2 = pipe.batch_intensities(a, b, index_base)
+    assert np.array_equal(i1, want_i1)
+    assert np.array_equal(i2, want_i2)
+    assert i2.flags.c_contiguous
 
 
 def test_run_realization_deterministic_across_calls():

@@ -10,7 +10,9 @@ from ghostsim.fields import (
     RealPattern,
     RngStream,
     SourceSpec,
+    _CHUNK,
     draw_source_samples,
+    fill_source_block,
     intensity,
     sample_source,
 )
@@ -181,3 +183,106 @@ def test_source_spec_validation():
         SourceSpec(grid, aperture=10e-6, sigma2=0.0)
     with pytest.raises(ValueError):
         RngStream(0, -1)
+
+
+# -- batch draw: bitwise oracles ----------------------------------------------
+
+
+def _slit_spec(sigma2=1.0):
+    return SourceSpec(make_grid(1, 128, 1e-6), 100e-6, sigma2)
+
+
+def _disk_spec(sigma2=1.0):
+    return SourceSpec(make_grid(2, 24, 1e-6), 16e-6, sigma2)
+
+
+def _block(spec, seed, first, count):
+    out = np.zeros((spec.grid.npoints, count), dtype=np.complex128)
+    fill_source_block(spec, seed, first, out)
+    return out
+
+
+def _stacked(spec, seed, first, count):
+    cols = [draw_source_samples(spec, RngStream(seed, first + j)).ravel()
+            for j in range(count)]
+    return np.stack(cols, axis=1)
+
+
+def _per_index_generators(spec, seed, first, count):
+    """The sampling definition written out with one fresh Generator per index."""
+    idx = np.flatnonzero(spec.aperture_mask().ravel())
+    out = np.zeros((spec.grid.npoints, count), dtype=np.complex128)
+    for j in range(count):
+        rng = RngStream(seed, first + j).generator()
+        amp = rng.rayleigh(size=idx.size)
+        u = rng.random(idx.size)
+        phase = (2.0 * np.pi) * (1.0 - u)
+        out[idx, j] = (np.sqrt(spec.sigma2) * amp) * np.exp(1j * phase)
+    return out
+
+
+BATCH_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+
+
+@pytest.mark.parametrize("make_spec", [_slit_spec, _disk_spec], ids=["slit", "disk"])
+@pytest.mark.parametrize("first", [0, 3 * 2**40, 2**63], ids=["0", "sweep-stride", "2^63"])
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+def test_batch_draw_matches_single_draws_bitwise(make_spec, first, seed):
+    spec = make_spec()
+    for count in BATCH_COUNTS:
+        got = _block(spec, seed, first, count)
+        assert got.tobytes() == _stacked(spec, seed, first, count).tobytes()
+        assert got.tobytes() == _per_index_generators(spec, seed, first, count).tobytes()
+
+
+@pytest.mark.parametrize("make_spec", [_slit_spec, _disk_spec], ids=["slit", "disk"])
+def test_batch_draw_sigma_scales_exactly(make_spec):
+    s1 = _block(make_spec(1.0), 7, 3, _CHUNK + 1)
+    s4 = _block(make_spec(4.0), 7, 3, _CHUNK + 1)
+    assert np.array_equal(s4, 2.0 * s1)
+
+
+def test_batch_draw_writes_only_aperture_rows():
+    spec = _disk_spec()
+    out = np.full((spec.grid.npoints, 5), 9.0 + 0j)
+    fill_source_block(spec, 1, 0, out)
+    outside = ~spec.aperture_mask().ravel()
+    assert np.all(out[outside] == 9.0)
+    assert np.all(out[~outside] != 9.0)
+    assert np.array_equal(spec.aperture_indices, np.flatnonzero(~outside))
+
+
+def test_batch_draw_fills_strided_views():
+    # the 2D speckle batch is (B, rows, cols) C-ordered; its columns view works
+    spec = _disk_spec()
+    count = _CHUNK + 3
+    fields = np.zeros((count,) + spec.grid.shape, dtype=np.complex128)
+    fill_source_block(spec, 4, 10, fields.reshape(count, -1).T)
+    assert np.array_equal(fields.reshape(count, -1).T, _stacked(spec, 4, 10, count))
+
+
+def test_batch_draw_rejects_negative_index():
+    with pytest.raises(ValueError):
+        _block(_slit_spec(), 0, -1, 2)
+
+
+def test_batch_draw_concurrent_threads_match_serial():
+    spec = _slit_spec()
+    jobs = [(5, 0, 3 * _CHUNK + 7), (5, 2**40, 2 * _CHUNK + 1)]
+    serial = [_block(spec, *job) for job in jobs]
+    for _ in range(3):
+        got = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs), timeout=30)
+
+        def work(k):
+            barrier.wait()
+            got[k] = _block(spec, *jobs[k])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for a, b in zip(serial, got):
+            assert a.tobytes() == b.tobytes()
