@@ -9,7 +9,8 @@ Subcommands map one-to-one onto the experiment pipelines:
     replay       recompute converge outputs from a stored record file
 
 Every run writes CSV data plus a manifest.json echoing the exact
-configuration, so any output can be regenerated from its manifest alone.
+configuration and the source-stream version, so any output can be
+regenerated from its manifest alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .experiments import (
     run_kappa_sweep,
     run_speckle,
 )
+from .fields import STREAM_VERSION
 from .records import RecordWriter
 
 
@@ -113,6 +115,7 @@ def write_manifest(path: Path, command: str, config: ExperimentConfig,
         "config": config.to_dict(),
         "outputs": sorted(Path(o).relative_to(path.parent).as_posix() for o in outputs),
         "sampling_notes": list(notes),
+        "stream": STREAM_VERSION,
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -8,7 +8,9 @@ needs only
     i1 = |(k2 * t) @ K1 @ E|^2 = |v @ E|^2        (scalar arm)
     i2 = |K @ E|^2                                 (reference arm)
 
-so a batch of realizations is two complex GEMMs.  Batch boundaries are fixed
+so a batch of realizations is two complex GEMMs.  Source pixels outside the
+aperture are always zero, so v and K keep only the in-aperture columns and
+the draw produces only those pixels.  Batch boundaries are fixed
 by (schedule, batch size) alone and batch sums are folded into one master
 accumulator in canonical order, which makes every emitted number independent
 of the worker count; workers only decide which thread computes a batch.
@@ -16,6 +18,7 @@ of the worker count; workers only decide which thread computes a batch.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from .analysis import (
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
 from .errors import ConfigError, RecordFormatError
-from .fields import RealPattern, SourceSpec, fill_source_block
+from .fields import RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
 from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
@@ -58,8 +61,8 @@ class GhostPipeline:
     config: ExperimentConfig
     source_spec: SourceSpec
     detector_grid: Grid
-    test_weights: np.ndarray  # v, shape (M,)
-    ref_matrix: np.ndarray  # K, shape (P, M)
+    test_weights: np.ndarray  # v on the in-aperture pixels, shape (n_in,)
+    ref_matrix: np.ndarray  # K on the in-aperture pixels, shape (P, n_in)
     reference: RealPattern
     sampling_notes: tuple[str, ...]
 
@@ -81,7 +84,8 @@ class GhostPipeline:
         to_object = fresnel_kernel(source, obj, config.d1, config.wavelength)
         to_detector = fresnel_kernel(source, det, config.d, config.wavelength)
         k2 = point_weights(obj, 0.0, config.d2, config.wavelength)
-        v = (k2 * mask.samples) @ to_object.matrix
+        inside = spec.aperture_indices
+        v = ((k2 * mask.samples) @ to_object.matrix)[inside]
         notes = tuple(
             f"{label}: {msg}"
             for label, kern in (("test arm", to_object), ("reference arm", to_detector))
@@ -92,7 +96,7 @@ class GhostPipeline:
             source_spec=spec,
             detector_grid=det,
             test_weights=v,
-            ref_matrix=to_detector.matrix,
+            ref_matrix=to_detector.matrix[:, inside],
             reference=reference,
             sampling_notes=notes,
         )
@@ -105,13 +109,13 @@ class GhostPipeline:
         Returns i1 with shape (B,) and i2 with shape (B, P), both C-ordered;
         replaying the same numbers from disk folds bitwise identically.
         """
-        m = self.source_spec.grid.shape[0]
-        fields = np.zeros((m, stop - start), dtype=np.complex128)
-        fill_source_block(self.source_spec, self.config.seed, index_base + start, fields)
-        a1 = self.test_weights @ fields
+        block = draw_source_block(
+            self.source_spec, self.config.seed, index_base + start, stop - start
+        )
+        a1 = block @ self.test_weights
         i1 = a1.real * a1.real + a1.imag * a1.imag
-        a2 = self.ref_matrix @ fields
-        i2 = np.ascontiguousarray((a2.real * a2.real + a2.imag * a2.imag).T)
+        a2 = block @ self.ref_matrix.T
+        i2 = a2.real * a2.real + a2.imag * a2.imag
         return i1, i2
 
     def run_realization(self, realization_index: int) -> tuple[float, RealPattern]:
@@ -126,18 +130,14 @@ class GhostPipeline:
         |2 sigma2 * sum_p v_p conj(K[q,p])|^2 over in-aperture pixels p, so
         the Monte Carlo limit is available in closed form for calibration.
         """
-        inside = self.source_spec.aperture_mask()
-        gamma = (2.0 * self.config.sigma2) * (
-            self.ref_matrix.conj() @ (self.test_weights * inside)
-        )
+        gamma = (2.0 * self.config.sigma2) * (self.ref_matrix.conj() @ self.test_weights)
         return RealPattern(self.detector_grid, gamma.real**2 + gamma.imag**2)
 
     def asymptotic_means(self) -> tuple[float, np.ndarray]:
         """Exact infinite-N mean intensities (scalar arm, reference arm)."""
-        inside = self.source_spec.aperture_mask()
         scale = 2.0 * self.config.sigma2
-        m1 = scale * float(np.sum(np.abs(self.test_weights) ** 2 * inside))
-        m2 = scale * ((np.abs(self.ref_matrix) ** 2) @ inside.astype(np.float64))
+        m1 = scale * float(np.sum(np.abs(self.test_weights) ** 2))
+        m2 = scale * np.sum(np.abs(self.ref_matrix) ** 2, axis=1)
         return m1, m2
 
 
@@ -374,10 +374,11 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         done = 0
         while done < config.speckle_n:
             count = min(per_batch, config.speckle_n - done)
-            fields = np.zeros((count, m, m), dtype=np.complex128)
-            fill_source_block(spec, config.seed, index_base + done,
-                              fields.reshape(count, m * m).T)
-            amps = kern.apply(fields)
+            fields = np.zeros((count, m * m), dtype=np.complex128)
+            fields[:, spec.aperture_indices] = draw_source_block(
+                spec, config.seed, index_base + done, count
+            )
+            amps = kern.apply(fields.reshape(count, m, m))
             i2 = amps.real * amps.real + amps.imag * amps.imag
             if snapshot is None:
                 snapshot = RealPattern(grid_out, i2[0].copy())
@@ -417,6 +418,7 @@ def record_header_for(config: ExperimentConfig) -> RecordHeader:
         seed=config.seed,
         sigma2=config.sigma2,
         phi=config.phi,
+        batch=config.batch,
     )
 
 
@@ -425,16 +427,15 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
 
     The stored intensities are folded with the same batch boundaries the live
     run used, so every accumulator state, pattern and error matches the live
-    run to the last bit.
+    run to the last bit.  Version 1 files did not store the batch, so their
+    batch is not checked: they replay bitwise only under the live run's batch.
     """
     header, body = open_records(records_path)
     expect = record_header_for(config)
+    unchecked = {"n_records"} | ({"batch"} if header.batch is None else set())
     mismatched = [
-        name for name in (
-            "detector_points", "detector_pitch", "detector_origin", "wavelength",
-            "d1", "d2", "d", "seed", "sigma2", "phi",
-        )
-        if getattr(header, name) != getattr(expect, name)
+        f.name for f in dataclasses.fields(RecordHeader)
+        if f.name not in unchecked and getattr(header, f.name) != getattr(expect, f.name)
     ]
     if mismatched:
         raise RecordFormatError(

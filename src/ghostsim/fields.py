@@ -1,9 +1,11 @@
 """Pseudo-thermal source: field containers and per-realization sampling.
 
-Each source pixel inside the aperture carries an independent complex value
-A * exp(j*phase) with A Rayleigh-distributed (mean square 2*sigma2) and phase
-uniform on (0, 2*pi].  Pixels are statistically independent, so the field is
-delta-correlated across the source plane.
+Each source pixel inside the aperture carries an independent circular
+Gaussian value: real and imaginary parts are i.i.d. N(0, sigma2), which is
+exactly a Rayleigh amplitude (mean square 2*sigma2) times a uniform phase.
+Pixels are statistically independent, so the field is delta-correlated
+across the source plane.  Pixels outside the aperture are zero and are not
+drawn at all.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from .errors import GeometryError, GridMismatchError
 from .grids import Grid
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 32  # realizations drawn per pass of the vectorized phase/amplitude steps
+
+# Version of the map from (seed, realization_index) to source samples.  Any
+# change to the numbers a given stream produces must bump it.
+STREAM_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -122,24 +127,22 @@ class SourceSpec:
         return idx
 
 
-def fill_source_block(spec: SourceSpec, seed: int, first_index: int,
-                      out: np.ndarray) -> None:
-    """Write realizations first_index, first_index + 1, ... into the columns of out.
+def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
+                      count: int) -> np.ndarray:
+    """Realizations first_index, ..., first_index + count - 1 as a compact block.
 
-    ``out`` has shape (grid.npoints, B) with row-major flat pixels along axis 0;
-    only its in-aperture rows are written, so pass a zeroed block.  Column j
-    is bitwise the realization drawn by ``RngStream(seed, first_index + j)``:
-    one Philox is re-keyed to (seed, index) with a zero counter for every
-    column, which is exactly the state ``Philox(key=...)`` starts from.  For
-    each realization the amplitudes for every in-aperture pixel are drawn
-    first (at unit scale), then the phases, in fixed row-major order; the
-    amplitude is multiplied by sigma afterwards, so two calls with the same
-    stream and different sigma2 give exactly proportional fields.
+    Returns a C-ordered (count, n_in) complex128 array holding only the
+    in-aperture pixels, in the row-major order of ``spec.aperture_indices``.
+    Row j is bitwise ``sqrt(sigma2) * g.standard_normal(2 * n_in)`` viewed as
+    complex128 (real and imaginary parts interleaved), where ``g`` is
+    ``RngStream(seed, first_index + j).generator()``: one Philox is re-keyed
+    to (seed, index) with a zero counter and an empty buffer for every row,
+    which is exactly the state ``Philox(key=...)`` starts from.
     """
     if first_index < 0:
         raise ValueError("first_index must be >= 0")
-    idx = spec.aperture_indices
-    count = out.shape[1]
+    block = np.empty((count, spec.aperture_indices.size), dtype=np.complex128)
+    parts = block.view(np.float64)
     bitgen = Philox()
     rng = Generator(bitgen)
     key = np.zeros(2, dtype=np.uint64)
@@ -152,35 +155,22 @@ def fill_source_block(spec: SourceSpec, seed: int, first_index: int,
         "uinteger": 0,
     }
     key[0] = seed & _MASK64
-    sigma = np.sqrt(spec.sigma2)
-    rows = min(_CHUNK, count)
-    amp = np.empty((rows, idx.size))
-    phase = np.empty((rows, idx.size))
-    z = np.empty((rows, idx.size), dtype=np.complex128)
-    for a in range(0, count, _CHUNK):
-        k = min(_CHUNK, count - a)
-        for r in range(k):
-            key[1] = (first_index + a + r) & _MASK64
-            bitgen.state = state
-            amp[r] = rng.rayleigh(size=idx.size)
-            rng.random(out=phase[r])
-        u, zk, ak = phase[:k], z[:k], amp[:k]
-        np.subtract(1.0, u, out=u)
-        u *= 2.0 * np.pi  # uniform on (0, 2*pi]
-        # exp(0 + j*phase) as the complex exp, which is what exp(1j * phase)
-        # computes; cos/sin would match it bitwise only on some libm builds.
-        zk.real = 0.0
-        zk.imag = u
-        np.exp(zk, out=zk)
-        ak *= sigma
-        zk *= ak
-        out[idx, a : a + k] = zk.T
+    for r in range(count):
+        key[1] = (first_index + r) & _MASK64
+        bitgen.state = state
+        rng.standard_normal(out=parts[r])
+    # Scaling the float64 parts is exact per part, so sigma2 = 4 gives exactly
+    # twice the sigma2 = 1 block.
+    parts *= np.sqrt(spec.sigma2)
+    return block
 
 
 def draw_source_samples(spec: SourceSpec, stream: RngStream) -> np.ndarray:
     """Raw complex samples of one realization (zeros outside the aperture)."""
-    out = np.zeros((spec.grid.npoints, 1), dtype=np.complex128)
-    fill_source_block(spec, stream.seed, stream.realization_index, out)
+    out = np.zeros(spec.grid.npoints, dtype=np.complex128)
+    out[spec.aperture_indices] = draw_source_block(
+        spec, stream.seed, stream.realization_index, 1
+    )[0]
     return out.reshape(spec.grid.shape)
 
 

@@ -4,11 +4,11 @@ Layout (little endian):
 
     header, 96 bytes:
         magic   6s   b"GIDAT1"
-        version B    1
+        version B    2 (1 for files written before the batch was stored)
         pad     B    0
         n       Q    record count (patched on close)
         points  I    detector pixel count P
-        pad2    I    0
+        batch   I    realizations per batch of the run (0 in version 1)
         pitch   d    detector pitch [m]
         origin  d    detector center [m]
         lam     d    wavelength [m]
@@ -20,13 +20,15 @@ Layout (little endian):
           reference pattern pixels.
 
 Round-trips are bitwise: the body is raw IEEE-754, so replaying a file feeds
-the accumulator the exact numbers the live run produced.
+the accumulator the exact numbers the live run produced.  Version 2 means the
+intensities come from source stream v2 (``fields.STREAM_VERSION``); version 1
+files hold stream-v1 intensities and are still read.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,8 @@ import numpy as np
 from .errors import RecordFormatError
 
 MAGIC = b"GIDAT1"
-VERSION = 1
+VERSION = 2
+_READABLE = (1, 2)
 _HEADER = struct.Struct("<6sBBQIIddddddqdd")
 HEADER_SIZE = _HEADER.size
 
@@ -56,11 +59,12 @@ class RecordHeader:
     seed: int
     sigma2: float
     phi: float
+    batch: int | None  # None for version 1 files, which did not store it
 
     def pack(self) -> bytes:
         return _HEADER.pack(
             MAGIC, VERSION, 0,
-            self.n_records, self.detector_points, 0,
+            self.n_records, self.detector_points, self.batch,
             self.detector_pitch, self.detector_origin, self.wavelength,
             self.d1, self.d2, self.d,
             self.seed, self.sigma2, self.phi,
@@ -70,15 +74,17 @@ class RecordHeader:
     def unpack(cls, blob: bytes) -> "RecordHeader":
         if len(blob) < HEADER_SIZE:
             raise RecordFormatError("file too short for a record header")
-        (magic, version, _pad, n, points, _pad2,
+        (magic, version, _pad, n, points, batch,
          pitch, origin, lam, d1, d2, d, seed, sigma2, phi) = _HEADER.unpack(
             blob[:HEADER_SIZE]
         )
         if magic != MAGIC:
             raise RecordFormatError(f"bad magic {magic!r}")
-        if version != VERSION:
+        if version not in _READABLE:
             raise RecordFormatError(f"unsupported record version {version}")
-        return cls(n, points, pitch, origin, lam, d1, d2, d, seed, sigma2, phi)
+        if version == 1:
+            batch = None
+        return cls(n, points, pitch, origin, lam, d1, d2, d, seed, sigma2, phi, batch)
 
 
 class RecordWriter:
@@ -106,19 +112,7 @@ class RecordWriter:
         if self._file.closed:
             return
         self._file.seek(0)
-        final = RecordHeader(
-            n_records=self._count,
-            detector_points=self.header.detector_points,
-            detector_pitch=self.header.detector_pitch,
-            detector_origin=self.header.detector_origin,
-            wavelength=self.header.wavelength,
-            d1=self.header.d1,
-            d2=self.header.d2,
-            d=self.header.d,
-            seed=self.header.seed,
-            sigma2=self.header.sigma2,
-            phi=self.header.phi,
-        )
+        final = replace(self.header, n_records=self._count)
         self._file.write(final.pack())
         self._file.close()
 

@@ -80,6 +80,7 @@ def test_manifest_is_independent_of_out_dir(tmp_path):
     assert doc["outputs"] == sorted(
         ["curve.csv", "pattern_N200.csv", "pattern_N500.csv", "records.gidat"]
     )
+    assert doc["stream"] == 2
 
 
 def test_replay_reproduces_files_byte_identical(tmp_path):

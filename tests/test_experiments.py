@@ -66,21 +66,25 @@ def test_collapsed_pipeline_matches_stepwise_chain():
 
 
 def test_batch_intensities_match_columnwise_construction():
-    # The batch (128, 200) is cut short by the checkpoint at 200, and its 72
-    # columns span several draw chunks.
+    # The batch (128, 200) is cut short by the checkpoint at 200.  The
+    # reference is built column by column from single draws, pruned to the
+    # aperture pixels, through the same two GEMMs.
     cfg = small_config()
     pipe = GhostPipeline.from_config(cfg)
     a, b = batch_bounds(500, cfg.schedule, cfg.batch)[1]
     assert (a, b) == (128, 200)
     index_base = 3 << 40
-    fields = np.zeros((cfg.source_points, b - a), dtype=np.complex128)
+    inside = pipe.source_spec.aperture_indices
+    assert pipe.test_weights.shape == inside.shape
+    assert pipe.ref_matrix.shape == (cfg.detector_points, inside.size)
+    fields = np.zeros((b - a, inside.size), dtype=np.complex128)
     for j in range(b - a):
         stream = RngStream(cfg.seed, index_base + a + j)
-        fields[:, j] = draw_source_samples(pipe.source_spec, stream)
-    a1 = pipe.test_weights @ fields
+        fields[j] = draw_source_samples(pipe.source_spec, stream)[inside]
+    a1 = fields @ pipe.test_weights
     want_i1 = a1.real * a1.real + a1.imag * a1.imag
-    a2 = pipe.ref_matrix @ fields
-    want_i2 = np.ascontiguousarray((a2.real * a2.real + a2.imag * a2.imag).T)
+    a2 = fields @ pipe.ref_matrix.T
+    want_i2 = a2.real * a2.real + a2.imag * a2.imag
 
     i1, i2 = pipe.batch_intensities(a, b, index_base)
     assert np.array_equal(i1, want_i1)
@@ -211,6 +215,31 @@ def test_replay_rejects_foreign_or_short_records(tmp_path):
         replay_converge(cfg.replace(seed=cfg.seed + 1), path)
     with pytest.raises(RecordFormatError, match="schedule needs"):
         replay_converge(cfg.replace(schedule=(200, 500)), path)
+
+
+def _as_version1(path):
+    """Rewrite a record file's header in the version 1 layout (no batch)."""
+    blob = bytearray(path.read_bytes())
+    blob[6] = 1
+    blob[20:24] = bytes(4)
+    path.write_bytes(bytes(blob))
+
+
+def test_replay_checks_batch_on_v2_files_only(tmp_path):
+    cfg = small_config(schedule=(200, 500), batch=128)
+    path = tmp_path / "records.gidat"
+    with RecordWriter(path, record_header_for(cfg)) as writer:
+        live = run_converge(cfg, record_writer=writer)
+    with pytest.raises(RecordFormatError, match="batch"):
+        replay_converge(cfg.replace(batch=100), path)
+
+    _as_version1(path)
+    replayed = replay_converge(cfg, path)
+    assert replayed.curve == live.curve
+    for (_, snap_a), (_, snap_b) in zip(live.snapshots, replayed.snapshots):
+        assert np.array_equal(snap_a.samples, snap_b.samples)
+    # a version 1 file carries no batch, so a different batch is not caught
+    assert replay_converge(cfg.replace(batch=100), path).curve != live.curve
 
 
 def test_sweep_kappa_arithmetic_and_stream_separation():

@@ -10,9 +10,8 @@ from ghostsim.fields import (
     RealPattern,
     RngStream,
     SourceSpec,
-    _CHUNK,
+    draw_source_block,
     draw_source_samples,
-    fill_source_block,
     intensity,
     sample_source,
 )
@@ -185,7 +184,7 @@ def test_source_spec_validation():
         RngStream(0, -1)
 
 
-# -- batch draw: bitwise oracles ----------------------------------------------
+# -- stream v2: bitwise oracles against numpy's own Philox ---------------------
 
 
 def _slit_spec(sigma2=1.0):
@@ -196,32 +195,24 @@ def _disk_spec(sigma2=1.0):
     return SourceSpec(make_grid(2, 24, 1e-6), 16e-6, sigma2)
 
 
-def _block(spec, seed, first, count):
-    out = np.zeros((spec.grid.npoints, count), dtype=np.complex128)
-    fill_source_block(spec, seed, first, out)
-    return out
+def _per_index_generators(spec, seed, first, count):
+    """The stream-v2 definition written out with one fresh Generator per index."""
+    n_in = int(spec.aperture_mask().sum())
+    rows = [
+        np.sqrt(spec.sigma2)
+        * RngStream(seed, first + j).generator().standard_normal(2 * n_in).view(np.complex128)
+        for j in range(count)
+    ]
+    return np.stack(rows)
 
 
 def _stacked(spec, seed, first, count):
     cols = [draw_source_samples(spec, RngStream(seed, first + j)).ravel()
             for j in range(count)]
-    return np.stack(cols, axis=1)
+    return np.stack(cols)
 
 
-def _per_index_generators(spec, seed, first, count):
-    """The sampling definition written out with one fresh Generator per index."""
-    idx = np.flatnonzero(spec.aperture_mask().ravel())
-    out = np.zeros((spec.grid.npoints, count), dtype=np.complex128)
-    for j in range(count):
-        rng = RngStream(seed, first + j).generator()
-        amp = rng.rayleigh(size=idx.size)
-        u = rng.random(idx.size)
-        phase = (2.0 * np.pi) * (1.0 - u)
-        out[idx, j] = (np.sqrt(spec.sigma2) * amp) * np.exp(1j * phase)
-    return out
-
-
-BATCH_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+BATCH_COUNTS = (1, 2, 33)
 
 
 @pytest.mark.parametrize("make_spec", [_slit_spec, _disk_spec], ids=["slit", "disk"])
@@ -229,54 +220,65 @@ BATCH_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
 def test_batch_draw_matches_single_draws_bitwise(make_spec, first, seed):
     spec = make_spec()
+    idx = spec.aperture_indices
     for count in BATCH_COUNTS:
-        got = _block(spec, seed, first, count)
-        assert got.tobytes() == _stacked(spec, seed, first, count).tobytes()
+        got = draw_source_block(spec, seed, first, count)
+        assert got.shape == (count, idx.size) and got.flags.c_contiguous
         assert got.tobytes() == _per_index_generators(spec, seed, first, count).tobytes()
+        assert got.tobytes() == _stacked(spec, seed, first, count)[:, idx].tobytes()
 
 
 @pytest.mark.parametrize("make_spec", [_slit_spec, _disk_spec], ids=["slit", "disk"])
 def test_batch_draw_sigma_scales_exactly(make_spec):
-    s1 = _block(make_spec(1.0), 7, 3, _CHUNK + 1)
-    s4 = _block(make_spec(4.0), 7, 3, _CHUNK + 1)
+    s1 = draw_source_block(make_spec(1.0), 7, 3, 33)
+    s4 = draw_source_block(make_spec(4.0), 7, 3, 33)
     assert np.array_equal(s4, 2.0 * s1)
+    assert s4.tobytes() == _per_index_generators(make_spec(4.0), 7, 3, 33).tobytes()
 
 
 def test_batch_draw_writes_only_aperture_rows():
-    spec = _disk_spec()
-    out = np.full((spec.grid.npoints, 5), 9.0 + 0j)
-    fill_source_block(spec, 1, 0, out)
-    outside = ~spec.aperture_mask().ravel()
-    assert np.all(out[outside] == 9.0)
-    assert np.all(out[~outside] != 9.0)
-    assert np.array_equal(spec.aperture_indices, np.flatnonzero(~outside))
+    # the compact block holds exactly the aperture pixels; scattered back onto
+    # the grid it is the single-realization draw, zero outside the aperture
+    for spec in (_slit_spec(), _disk_spec()):
+        inside = spec.aperture_mask().ravel()
+        assert np.array_equal(spec.aperture_indices, np.flatnonzero(inside))
+        block = draw_source_block(spec, 1, 0, 5)
+        assert block.shape == (5, int(inside.sum()))
+        full = _stacked(spec, 1, 0, 5)
+        assert np.all(full[:, ~inside] == 0.0)
+        assert np.array_equal(full[:, inside], block)
 
 
-def test_batch_draw_fills_strided_views():
-    # the 2D speckle batch is (B, rows, cols) C-ordered; its columns view works
-    spec = _disk_spec()
-    count = _CHUNK + 3
-    fields = np.zeros((count,) + spec.grid.shape, dtype=np.complex128)
-    fill_source_block(spec, 4, 10, fields.reshape(count, -1).T)
-    assert np.array_equal(fields.reshape(count, -1).T, _stacked(spec, 4, 10, count))
+def test_golden_vector_seed0_index0():
+    # First 4 complex samples of (seed 0, index 0) at sigma2 = 1.  These pin
+    # numpy's Philox and ziggurat normals: if either changes, every record
+    # changes, and this must fail rather than let the numbers drift.
+    want = [
+        "0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0",
+        "0x1.5396485e717b0p+0", "0x1.346e5e799d961p+0",
+        "-0x1.40566d93c8100p-5", "-0x1.09f1537b13e67p-1",
+        "-0x1.1d00f5f1c2bfdp+0", "-0x1.c4730912b6056p+0",
+    ]
+    block = draw_source_block(_slit_spec(), 0, 0, 1)
+    assert [float(x).hex() for x in block[0, :4].view(np.float64)] == want
 
 
 def test_batch_draw_rejects_negative_index():
     with pytest.raises(ValueError):
-        _block(_slit_spec(), 0, -1, 2)
+        draw_source_block(_slit_spec(), 0, -1, 2)
 
 
 def test_batch_draw_concurrent_threads_match_serial():
     spec = _slit_spec()
-    jobs = [(5, 0, 3 * _CHUNK + 7), (5, 2**40, 2 * _CHUNK + 1)]
-    serial = [_block(spec, *job) for job in jobs]
+    jobs = [(5, 0, 103), (5, 2**40, 65)]
+    serial = [draw_source_block(spec, *job) for job in jobs]
     for _ in range(3):
         got = [None] * len(jobs)
         barrier = threading.Barrier(len(jobs), timeout=30)
 
         def work(k):
             barrier.wait()
-            got[k] = _block(spec, *jobs[k])
+            got[k] = draw_source_block(spec, *jobs[k])
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
         for t in threads:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ghostsim.records import (
 )
 
 
-def make_header(n=0, points=8, seed=4):
+def make_header(n=0, points=8, seed=4, batch=256):
     return RecordHeader(
         n_records=n,
         detector_points=points,
@@ -24,6 +26,7 @@ def make_header(n=0, points=8, seed=4):
         seed=seed,
         sigma2=1.0,
         phi=1.72e-3,
+        batch=batch,
     )
 
 
@@ -32,6 +35,8 @@ def test_header_is_96_bytes_and_unpacks_exactly():
     blob = h.pack()
     assert len(blob) == HEADER_SIZE == 96
     assert blob[:6] == MAGIC
+    assert blob[6] == 2  # version byte
+    assert struct.unpack_from("<I", blob, 20) == (256,)  # batch, former pad2
     assert RecordHeader.unpack(blob) == h
 
 
@@ -114,3 +119,19 @@ def test_open_records_rejects_corrupt_magic(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(RecordFormatError, match="magic"):
         open_records(path)
+
+
+def test_hand_packed_version1_file_still_opens(tmp_path):
+    # version 1 layout: same 96 bytes, version byte 1, zero where v2 keeps batch
+    h = make_header(n=3, points=2)
+    blob = struct.pack(
+        "<6sBBQIIddddddqdd", b"GIDAT1", 1, 0, 3, 2, 0,
+        h.detector_pitch, h.detector_origin, h.wavelength, h.d1, h.d2, h.d,
+        h.seed, h.sigma2, h.phi,
+    )
+    rows = np.arange(9, dtype=np.float64).reshape(3, 3)
+    path = tmp_path / "v1.gidat"
+    path.write_bytes(blob + rows.tobytes())
+    header, body = open_records(path)
+    assert header == make_header(n=3, points=2, batch=None)
+    assert np.array_equal(body, rows)
