@@ -42,7 +42,6 @@ from .errors import (
     SamplingError,
 )
 from .experiments import (
-    BandRow,
     ConvergenceResult,
     GhostPipeline,
     KappaPoint,
@@ -51,7 +50,6 @@ from .experiments import (
     iter_checkpoints,
     record_header_for,
     replay_converge,
-    run_bands,
     run_converge,
     run_kappa_sweep,
     run_speckle,

@@ -230,6 +230,13 @@ class ThresholdSearch:
     stable: bool | None
     curve: tuple[CurvePoint, ...]
 
+    @property
+    def crossing(self) -> CurvePoint:
+        """The point at n_star, or the last point if tau was not reached."""
+        if self.reached:
+            return next(c for c in self.curve if c.n == self.n_star)
+        return self.curve[-1]
+
 
 def min_n_to_threshold(
     runner: Callable[[tuple[int, ...]], Iterable[CurvePoint]],

@@ -26,7 +26,6 @@ from .errors import ConfigError, RecordFormatError
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
-    bands_from_sweep,
     record_header_for,
     replay_converge,
     run_converge,
@@ -65,16 +64,10 @@ def write_pattern_csv(path: Path, reconstruction, reference) -> None:
     _write_lines(path, lines)
 
 
-def _crossing_point(search):
-    if search.reached:
-        return next(c for c in search.curve if c.n == search.n_star)
-    return search.curve[-1]
-
-
 def write_kappa_csv(path: Path, points) -> None:
     lines = ["phi_m,kappa,n_star,reached,eps_global,eps_low,eps_high"]
     for p in points:
-        at = _crossing_point(p.search)
+        at = p.search.crossing
         n_star = str(p.search.n_star) if p.search.reached else ""
         lines.append(
             f"{_fmt(p.phi)},{_fmt(p.kappa)},{n_star},{_fmt(p.search.reached)},"
@@ -83,12 +76,13 @@ def write_kappa_csv(path: Path, points) -> None:
     _write_lines(path, lines)
 
 
-def write_bands_csv(path: Path, rows) -> None:
+def write_bands_csv(path: Path, points) -> None:
     lines = ["phi_m,kappa,n,reached,eps_global,eps_low,eps_high"]
-    for r in rows:
+    for p in points:
+        at = p.search.crossing
         lines.append(
-            f"{_fmt(r.phi)},{_fmt(r.kappa)},{r.n},{_fmt(r.reached)},"
-            f"{_fmt(r.eps_global)},{_fmt(r.eps_low)},{_fmt(r.eps_high)}"
+            f"{_fmt(p.phi)},{_fmt(p.kappa)},{at.n},{_fmt(p.search.reached)},"
+            f"{_fmt(at.eps_global)},{_fmt(at.eps_low)},{_fmt(at.eps_high)}"
         )
     _write_lines(path, lines)
 
@@ -108,14 +102,14 @@ def write_grid_csv(path: Path, pattern) -> None:
 
 
 def write_manifest(path: Path, command: str, config: ExperimentConfig,
-                   outputs, notes=()) -> None:
+                   outputs, notes=(), stream: int = STREAM_VERSION) -> None:
     doc = {
         "command": command,
         "version": __version__,
         "config": config.to_dict(),
         "outputs": sorted(Path(o).relative_to(path.parent).as_posix() for o in outputs),
         "sampling_notes": list(notes),
-        "stream": STREAM_VERSION,
+        "stream": stream,
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -140,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, help="key = value config file")
         sp.add_argument("--seed", type=int, help="base RNG seed")
-        sp.add_argument("--workers", type=int, help="worker thread count")
+        sp.add_argument("--workers", type=int,
+                        help="ignored (runs fold in order on one thread)")
         sp.add_argument("--out-dir", type=Path, help="output directory")
         sp.add_argument("--tau", type=float, help="convergence threshold")
         sp.add_argument("--schedule", type=str, help="comma-separated checkpoint counts")
@@ -238,7 +233,7 @@ def _cmd_replay(args) -> int:
     result = replay_converge(config, args.records)
     outputs = _emit_converge(out, result)
     write_manifest(out / "manifest.json", args.command, config, outputs,
-                   result.sampling_notes)
+                   result.sampling_notes, result.stream)
     _print_curve(result)
     print(f"wrote {len(outputs)} files to {out}")
     return 0
@@ -260,14 +255,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_bands(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    rows = bands_from_sweep(run_kappa_sweep(config))
-    write_bands_csv(out / "bands.csv", rows)
+    points = run_kappa_sweep(config)
+    write_bands_csv(out / "bands.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "bands.csv"])
-    for r in rows:
-        flag = "reached" if r.reached else "not reached"
-        print(f"kappa={r.kappa:.4g} N={r.n} ({flag}): "
-              f"eps_global={r.eps_global:.5f} eps_low={r.eps_low:.5f} "
-              f"eps_high={r.eps_high:.5f}")
+    for p in points:
+        at = p.search.crossing
+        flag = "reached" if p.search.reached else "not reached"
+        print(f"kappa={p.kappa:.4g} N={at.n} ({flag}): "
+              f"eps_global={at.eps_global:.5f} eps_low={at.eps_low:.5f} "
+              f"eps_high={at.eps_high:.5f}")
     return 0
 
 

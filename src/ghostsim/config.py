@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .grids import Grid, make_grid
@@ -55,7 +57,7 @@ class ExperimentConfig:
     n_max: int | None = None
     window: tuple[int, int] | None = None
 
-    workers: int = 1
+    workers: int = 1  # validated but ignored: every run folds in order on one thread
     batch: int = 256
     write_records: bool = True
     allow_geometry_mismatch: bool = False
@@ -149,24 +151,28 @@ class ExperimentConfig:
         return out
 
 
-_INT_FIELDS = {
-    "source_points", "object_points", "detector_points", "seed", "workers",
-    "batch", "n_max", "speckle_points", "speckle_n",
-}
-_FLOAT_FIELDS = {
-    "wavelength", "d1", "d2", "d", "source_pitch", "object_pitch",
-    "detector_pitch", "slit_width", "slit_separation", "phi", "sigma2",
-    "tau", "speckle_pitch", "speckle_distance",
-}
-_BOOL_FIELDS = {"write_records", "allow_geometry_mismatch"}
-_STR_FIELDS = {"mask_file"}
-_INT_LIST_FIELDS = {"schedule", "window"}
-_FLOAT_LIST_FIELDS = {"phi_list", "speckle_phi_list"}
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
-_ALL_KEYS = (
-    _INT_FIELDS | _FLOAT_FIELDS | _BOOL_FIELDS | _STR_FIELDS
-    | _INT_LIST_FIELDS | _FLOAT_LIST_FIELDS
-)
+
+def _parser_for(hint):
+    """Text parser for a field type: scalars, optionals and tuples of a scalar."""
+    if get_origin(hint) in (Union, UnionType):
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda raw: tuple(item(part) for part in raw.split(","))
+    return _parse_bool if hint is bool else hint
+
+
+_PARSERS = {
+    name: _parser_for(hint) for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -174,24 +180,9 @@ def _parse_value(key: str, raw: str):
     if raw == "":
         return None
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _BOOL_FIELDS:
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_LIST_FIELDS:
-            return tuple(int(part) for part in raw.split(","))
-        if key in _FLOAT_LIST_FIELDS:
-            return tuple(float(part) for part in raw.split(","))
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
-    return raw  # _STR_FIELDS
 
 
 def parse_config_text(text: str, source: str = "<string>") -> dict:
@@ -205,7 +196,7 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -227,7 +218,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
     ``window`` is required to be exactly two indices when present.
     """
     clean = {k: v for k, v in values.items() if v is not None}
-    unknown = set(clean) - _ALL_KEYS
+    unknown = set(clean) - _PARSERS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "window" in clean:

@@ -10,19 +10,19 @@ needs only
 
 so a batch of realizations is two complex GEMMs.  Source pixels outside the
 aperture are always zero, so v and K keep only the in-aperture columns and
-the draw produces only those pixels.  Batch boundaries are fixed
-by (schedule, batch size) alone and batch sums are folded into one master
-accumulator in canonical order, which makes every emitted number independent
-of the worker count; workers only decide which thread computes a batch.
+the draw produces only those pixels.
+
+Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
+and the batch size alone) are folded in index order into one accumulator on
+the calling thread, which is scored at each scheduled N.  Live runs, replay,
+threshold search and speckle differ only in where the batches come from.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .analysis import (
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
 from .errors import ConfigError, RecordFormatError
-from .fields import RealPattern, SourceSpec, draw_source_block
+from .fields import STREAM_VERSION, RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
 from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
@@ -144,8 +144,8 @@ class GhostPipeline:
 def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
     """Fixed batch boundaries: every multiple of ``batch`` plus every checkpoint.
 
-    Determined by the run configuration alone, never by the worker count, so
-    the canonical fold order is the same for 1 worker, 8 workers, or replay.
+    Determined by the run configuration alone, so live runs and replay fold
+    the same batches in the same order.
     """
     cuts = sorted(
         {n for n in schedule if n <= total}
@@ -155,44 +155,49 @@ def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
     return list(zip([0] + cuts[:-1], cuts))
 
 
+def fold_checkpoints(
+    grid: Grid, batches: Iterable[tuple[np.ndarray, np.ndarray]], schedule
+) -> Iterator[tuple[int, CorrelationAccumulator]]:
+    """Fold (i1, i2) batches in order; yield (n, snapshot) at each scheduled n.
+
+    The batches must be cut by ``batch_bounds`` so every checkpoint falls on
+    a batch end.  Lazy: no batch is pulled past the checkpoint last yielded.
+    """
+    marks = set(schedule)
+    acc = CorrelationAccumulator(grid)
+    for i1, i2 in batches:
+        acc.fold_batch(i1, i2)
+        if acc.count in marks:
+            yield acc.count, acc.copy()
+
+
+def _live_batches(pipeline: GhostPipeline, bounds, index_base: int,
+                  record_writer: RecordWriter | None):
+    for a, b in bounds:
+        i1, i2 = pipeline.batch_intensities(a, b, index_base)
+        if record_writer is not None:
+            record_writer.append(i1, i2)
+        yield i1, i2
+
+
+def _record_batches(body: np.ndarray, bounds):
+    for a, b in bounds:
+        block = np.asarray(body[a:b])
+        yield np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1:])
+
+
 def iter_checkpoints(
     pipeline: GhostPipeline,
     schedule,
     *,
-    workers: int = 1,
     index_base: int = 0,
     record_writer: RecordWriter | None = None,
 ) -> Iterator[tuple[int, CorrelationAccumulator]]:
-    """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint.
-
-    Lazy: abandoning the iterator after a checkpoint stops the run with only
-    the already-submitted window of batches completed.
-    """
+    """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint."""
     schedule = tuple(int(n) for n in schedule)
-    total = schedule[-1]
-    bounds = batch_bounds(total, schedule, pipeline.config.batch)
-    marks = set(schedule)
-    acc = CorrelationAccumulator(pipeline.detector_grid)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        next_bound = 0
-
-        def submit_up_to(limit: int) -> None:
-            nonlocal next_bound
-            while next_bound < len(bounds) and len(pending) < limit:
-                a, b = bounds[next_bound]
-                pending.append(pool.submit(pipeline.batch_intensities, a, b, index_base))
-                next_bound += 1
-
-        submit_up_to(workers + 2)
-        while pending:
-            i1, i2 = pending.popleft().result()
-            submit_up_to(workers + 2)
-            if record_writer is not None:
-                record_writer.append(i1, i2)
-            acc.fold_batch(i1, i2)
-            if acc.count in marks:
-                yield acc.count, acc.copy()
+    bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
+    batches = _live_batches(pipeline, bounds, index_base, record_writer)
+    return fold_checkpoints(pipeline.detector_grid, batches, schedule)
 
 
 @dataclass(frozen=True)
@@ -203,33 +208,40 @@ class ConvergenceResult:
     snapshots: tuple[tuple[int, RealPattern], ...]
     reference: RealPattern  # normalized over the comparison window
     sampling_notes: tuple[str, ...]
+    stream: int = STREAM_VERSION  # source stream of the folded intensities
 
 
-def _checkpoint_errors(pipeline: GhostPipeline, acc: CorrelationAccumulator):
-    window = pipeline.config.window
+def _score(pipeline: GhostPipeline, n: int, acc: CorrelationAccumulator):
+    """The reconstruction at a checkpoint and its errors against the reference."""
     g = acc.finalize()
-    eps = pattern_errors(g, pipeline.reference, window)
-    return g, eps
+    eps = pattern_errors(g, pipeline.reference, pipeline.config.window)
+    return g, CurvePoint(n, *eps)
+
+
+def _convergence_result(pipeline: GhostPipeline, checkpoints,
+                        stream: int = STREAM_VERSION) -> ConvergenceResult:
+    window = pipeline.config.window
+    curve: list[CurvePoint] = []
+    snaps: list[tuple[int, RealPattern]] = []
+    for n, acc in checkpoints:
+        g, point = _score(pipeline, n, acc)
+        curve.append(point)
+        snaps.append((n, normalize_unit(g, window)))
+    return ConvergenceResult(
+        curve=tuple(curve),
+        snapshots=tuple(snaps),
+        reference=normalize_unit(pipeline.reference, window),
+        sampling_notes=pipeline.sampling_notes,
+        stream=stream,
+    )
 
 
 def run_converge(config: ExperimentConfig, record_writer: RecordWriter | None = None,
                  pipeline: GhostPipeline | None = None) -> ConvergenceResult:
     """Single-aperture run over the whole schedule with pattern snapshots."""
     pipe = pipeline if pipeline is not None else GhostPipeline.from_config(config)
-    window = config.window
-    curve: list[CurvePoint] = []
-    snaps: list[tuple[int, RealPattern]] = []
-    for n, acc in iter_checkpoints(
-        pipe, config.schedule, workers=config.workers, record_writer=record_writer
-    ):
-        g, (eps_g, eps_l, eps_h) = _checkpoint_errors(pipe, acc)
-        curve.append(CurvePoint(n, eps_g, eps_l, eps_h))
-        snaps.append((n, normalize_unit(g, window)))
-    return ConvergenceResult(
-        curve=tuple(curve),
-        snapshots=tuple(snaps),
-        reference=normalize_unit(pipe.reference, window),
-        sampling_notes=pipe.sampling_notes,
+    return _convergence_result(
+        pipe, iter_checkpoints(pipe, config.schedule, record_writer=record_writer)
     )
 
 
@@ -242,22 +254,14 @@ class KappaPoint:
     search: ThresholdSearch
 
 
-def _search_runner(pipe: GhostPipeline, workers: int, index_base: int):
-    def runner(schedule):
-        for _, acc in iter_checkpoints(
-            pipe, schedule, workers=workers, index_base=index_base
-        ):
-            _, (eps_g, eps_l, eps_h) = _checkpoint_errors(pipe, acc)
-            yield CurvePoint(acc.count, eps_g, eps_l, eps_h)
-
-    return runner
-
-
 def run_threshold(config: ExperimentConfig, *, index_base: int = 0) -> ThresholdSearch:
     """Threshold search for a single aperture; config.phi is the aperture."""
     pipe = GhostPipeline.from_config(config)
     return min_n_to_threshold(
-        _search_runner(pipe, config.workers, index_base),
+        lambda schedule: (
+            _score(pipe, n, acc)[1]
+            for n, acc in iter_checkpoints(pipe, schedule, index_base=index_base)
+        ),
         config.tau,
         config.schedule,
         n_max=config.n_max,
@@ -271,51 +275,10 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     out: list[KappaPoint] = []
     for i, phi in enumerate(config.phi_list):
         cfg = config.replace(phi=phi)
-        pipe = GhostPipeline.from_config(cfg)
         l_c = coherence_length(cfg.wavelength, cfg.d1, phi)
-        search = min_n_to_threshold(
-            _search_runner(pipe, cfg.workers, i * _STREAM_STRIDE),
-            cfg.tau,
-            cfg.schedule,
-            n_max=cfg.n_max,
-        )
+        search = run_threshold(cfg, index_base=i * _STREAM_STRIDE)
         out.append(KappaPoint(phi=phi, kappa=kappa(cfg.slit_width, l_c), search=search))
     return out
-
-
-@dataclass(frozen=True)
-class BandRow:
-    """Band-resolved errors at the crossing checkpoint (or at budget)."""
-
-    phi: float
-    kappa: float
-    n: int
-    reached: bool
-    eps_global: float
-    eps_low: float
-    eps_high: float
-
-
-def bands_from_sweep(points: list[KappaPoint]) -> list[BandRow]:
-    rows = []
-    for p in points:
-        s = p.search
-        if s.reached:
-            at = next(c for c in s.curve if c.n == s.n_star)
-        else:
-            at = s.curve[-1]
-        rows.append(
-            BandRow(
-                phi=p.phi, kappa=p.kappa, n=at.n, reached=s.reached,
-                eps_global=at.eps_global, eps_low=at.eps_low, eps_high=at.eps_high,
-            )
-        )
-    return rows
-
-
-def run_bands(config: ExperimentConfig) -> list[BandRow]:
-    """Low/high-band errors at the checkpoint where the global error crosses tau."""
-    return bands_from_sweep(run_kappa_sweep(config))
 
 
 @dataclass(frozen=True)
@@ -365,26 +328,27 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     ref_index = (grid_out.index_of(0.0, 0), grid_out.index_of(0.0, 1))
     m = config.speckle_points
     per_batch = max(1, 4_194_304 // (m * m))
+    bounds = batch_bounds(config.speckle_n, (config.speckle_n,), per_batch)
     out: list[SpecklePoint] = []
     for k, phi in enumerate(config.speckle_phi_list):
         spec = SourceSpec(grid_in, phi, config.sigma2)
-        acc = CorrelationAccumulator(grid_out)
         index_base = k * _STREAM_STRIDE
         snapshot: RealPattern | None = None
-        done = 0
-        while done < config.speckle_n:
-            count = min(per_batch, config.speckle_n - done)
-            fields = np.zeros((count, m * m), dtype=np.complex128)
-            fields[:, spec.aperture_indices] = draw_source_block(
-                spec, config.seed, index_base + done, count
-            )
-            amps = kern.apply(fields.reshape(count, m, m))
-            i2 = amps.real * amps.real + amps.imag * amps.imag
-            if snapshot is None:
-                snapshot = RealPattern(grid_out, i2[0].copy())
-            i1 = np.ascontiguousarray(i2[:, ref_index[0], ref_index[1]])
-            acc.fold_batch(i1, i2)
-            done += count
+
+        def batches():
+            nonlocal snapshot
+            for a, b in bounds:
+                fields = np.zeros((b - a, m * m), dtype=np.complex128)
+                fields[:, spec.aperture_indices] = draw_source_block(
+                    spec, config.seed, index_base + a, b - a
+                )
+                amps = kern.apply(fields.reshape(b - a, m, m))
+                i2 = amps.real * amps.real + amps.imag * amps.imag
+                if snapshot is None:
+                    snapshot = RealPattern(grid_out, i2[0].copy())
+                yield np.ascontiguousarray(i2[:, ref_index[0], ref_index[1]]), i2
+
+        (_, acc), = fold_checkpoints(grid_out, batches(), (config.speckle_n,))
         cmap = coherence_map(acc)
         half = 64
         fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
@@ -447,23 +411,9 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
             f"schedule needs {total} records, file holds {header.n_records}"
         )
     pipe = GhostPipeline.from_config(config)
-    window = config.window
-    acc = CorrelationAccumulator(pipe.detector_grid)
-    marks = set(config.schedule)
-    curve: list[CurvePoint] = []
-    snaps: list[tuple[int, RealPattern]] = []
-    for a, b in batch_bounds(total, config.schedule, config.batch):
-        block = np.asarray(body[a:b])
-        i1 = np.ascontiguousarray(block[:, 0])
-        i2 = np.ascontiguousarray(block[:, 1:])
-        acc.fold_batch(i1, i2)
-        if acc.count in marks:
-            g, (eps_g, eps_l, eps_h) = _checkpoint_errors(pipe, acc)
-            curve.append(CurvePoint(acc.count, eps_g, eps_l, eps_h))
-            snaps.append((acc.count, normalize_unit(g, window)))
-    return ConvergenceResult(
-        curve=tuple(curve),
-        snapshots=tuple(snaps),
-        reference=normalize_unit(pipe.reference, window),
-        sampling_notes=pipe.sampling_notes,
+    bounds = batch_bounds(total, config.schedule, config.batch)
+    return _convergence_result(
+        pipe,
+        fold_checkpoints(pipe.detector_grid, _record_batches(body, bounds), config.schedule),
+        stream=header.version,
     )

@@ -61,6 +61,11 @@ class RecordHeader:
     phi: float
     batch: int | None  # None for version 1 files, which did not store it
 
+    @property
+    def version(self) -> int:
+        """Record version, which is also the source stream of the intensities."""
+        return 1 if self.batch is None else VERSION
+
     def pack(self) -> bytes:
         return _HEADER.pack(
             MAGIC, VERSION, 0,

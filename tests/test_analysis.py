@@ -252,6 +252,16 @@ def test_threshold_search_not_reached():
     assert res.eps_final == 0.3
 
 
+def test_threshold_search_crossing_point():
+    eps = {10: 0.5, 20: 0.06, 40: 0.08}
+    res = min_n_to_threshold(make_runner(eps, []), 0.07, (10, 20, 40))
+    assert res.crossing == res.curve[1]  # the point at n_star, not the last one
+    assert res.crossing.n == 20 and res.crossing.eps_global == 0.06
+    missed = min_n_to_threshold(make_runner(eps, []), 0.01, (10, 20, 40))
+    assert missed.crossing == missed.curve[-1]
+    assert missed.crossing.n == 40
+
+
 def test_threshold_search_n_max_trims_schedule():
     eps = {10: 0.5, 20: 0.06, 40: 0.01}
     consumed = []

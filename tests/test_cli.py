@@ -95,6 +95,25 @@ def test_replay_reproduces_files_byte_identical(tmp_path):
         assert (again / name).read_bytes() == (live / name).read_bytes()
 
 
+def test_replay_manifest_names_the_stream_of_the_records(tmp_path):
+    cfg = write_config(tmp_path)
+    live, v2, v1 = tmp_path / "live", tmp_path / "v2", tmp_path / "v1"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(live)]) == 0
+    records = live / "records.gidat"
+    assert main(["replay", "--config", str(cfg), "--out-dir", str(v2),
+                 "--records", str(records)]) == 0
+    assert json.loads((v2 / "manifest.json").read_text())["stream"] == 2
+    # rewrite the header in the version 1 layout: version byte 1, no batch
+    blob = bytearray(records.read_bytes())
+    blob[6] = 1
+    blob[20:24] = bytes(4)
+    records.write_bytes(bytes(blob))
+    assert main(["replay", "--config", str(cfg), "--out-dir", str(v1),
+                 "--records", str(records)]) == 0
+    assert json.loads((v1 / "manifest.json").read_text())["stream"] == 1
+    assert json.loads((live / "manifest.json").read_text())["stream"] == 2
+
+
 def test_replay_with_wrong_seed_fails_cleanly(tmp_path, capsys):
     cfg = write_config(tmp_path)
     live = tmp_path / "live"

@@ -131,6 +131,30 @@ def test_dump_config_round_trips(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_every_field_is_a_key_that_parses_back_from_dump():
+    # every field set away from its default and away from None
+    cfg = ExperimentConfig(
+        wavelength=0.6e-6, d1=0.05, d2=0.07, d=0.12,
+        source_points=300, source_pitch=5e-6, object_points=301,
+        object_pitch=1e-6, detector_points=128, detector_pitch=2e-6,
+        slit_width=90e-6, slit_separation=250e-6, mask_file="m.txt",
+        phi=1.5e-3, phi_list=(1e-3, 2e-3), sigma2=2.0, seed=-4,
+        schedule=(10, 20), tau=0.1, n_max=15, window=(3, 100),
+        workers=2, batch=64, write_records=False, allow_geometry_mismatch=True,
+        speckle_points=64, speckle_pitch=30e-6, speckle_phi_list=(1e-3,),
+        speckle_n=50, speckle_distance=0.05,
+    )
+    default = ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    values = parse_config_text(dump_config(cfg))
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for f in dataclasses.fields(ExperimentConfig):
+        assert values[f.name] == getattr(cfg, f.name), f.name
+        assert type(values[f.name]) is type(getattr(cfg, f.name)), f.name
+    assert config_from_values(values) == cfg
+
+
 def test_load_config_overrides_win(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seed = 1\ntau = 0.05\n")

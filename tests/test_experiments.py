@@ -12,7 +12,6 @@ from ghostsim.experiments import (
     iter_checkpoints,
     record_header_for,
     replay_converge,
-    run_bands,
     run_converge,
     run_kappa_sweep,
     run_speckle,
@@ -155,24 +154,6 @@ def test_batch_bounds_partition_and_respect_marks(marks, batch):
     assert all(b - a <= batch for a, b in bounds)
 
 
-def test_worker_count_never_changes_results():
-    cfg = small_config(schedule=(300, 700), batch=64)
-    outputs = []
-    for workers in (1, 4, 8):
-        pipe = GhostPipeline.from_config(cfg)
-        states = [
-            (n, acc.sum1, acc.sum2.copy(), acc.finalize().samples.copy())
-            for n, acc in iter_checkpoints(pipe, cfg.schedule, workers=workers)
-        ]
-        outputs.append(states)
-    for other in outputs[1:]:
-        for (n0, s1a, s2a, ga), (n1, s1b, s2b, gb) in zip(outputs[0], other):
-            assert n0 == n1
-            assert s1a == s1b
-            assert np.array_equal(s2a, s2b)
-            assert np.array_equal(ga, gb)
-
-
 def test_iter_checkpoints_is_lazy():
     cfg = small_config(schedule=(200, 100_000_000))
     pipe = GhostPipeline.from_config(cfg)
@@ -180,6 +161,24 @@ def test_iter_checkpoints_is_lazy():
     n, acc = next(it)
     assert n == acc.count == 200
     it.close()  # abandoning must not run the huge remainder
+
+
+def test_threshold_search_draws_nothing_past_the_stability_checkpoint(monkeypatch):
+    # tau = 1 crosses at 200; the search reads one more checkpoint (400) for
+    # the stability flag and must not draw a batch beyond it.
+    stops = []
+    draw = GhostPipeline.batch_intensities
+
+    def counting(self, start, stop, index_base=0):
+        stops.append(stop)
+        return draw(self, start, stop, index_base)
+
+    monkeypatch.setattr(GhostPipeline, "batch_intensities", counting)
+    cfg = small_config(schedule=(200, 400, 800, 1600), tau=1.0)
+    search = run_threshold(cfg)
+    assert search.n_star == 200 and search.stable
+    assert [p.n for p in search.curve] == [200, 400]
+    assert stops == [b for _, b in batch_bounds(400, cfg.schedule, cfg.batch)]
 
 
 def test_run_converge_shapes_and_normalization():
@@ -204,6 +203,20 @@ def test_replay_reproduces_live_run_bitwise(tmp_path):
         assert n_a == n_b
         assert np.array_equal(snap_a.samples, snap_b.samples)
     assert np.array_equal(replayed.reference.samples, live.reference.samples)
+
+
+def test_replay_of_longer_records_folds_only_the_schedule_prefix(tmp_path):
+    cfg = small_config(schedule=(200, 500), batch=128)
+    path = tmp_path / "records.gidat"
+    with RecordWriter(path, record_header_for(cfg)) as writer:
+        run_converge(cfg.replace(schedule=(200, 500, 900)), record_writer=writer)
+    live = run_converge(cfg)
+    replayed = replay_converge(cfg, path)
+    assert replayed.curve == live.curve
+    assert len(replayed.snapshots) == len(live.snapshots) == 2
+    for (n_a, snap_a), (n_b, snap_b) in zip(live.snapshots, replayed.snapshots):
+        assert n_a == n_b
+        assert np.array_equal(snap_a.samples, snap_b.samples)
 
 
 def test_replay_rejects_foreign_or_short_records(tmp_path):
@@ -279,16 +292,17 @@ def test_run_threshold_matches_first_sweep_entry():
 
 def test_bands_rows_satisfy_partition_identity():
     cfg = small_config(phi_list=(0.4e-3, 0.8e-3), schedule=(200, 400), tau=1.0)
-    rows = run_bands(cfg)
+    points = run_kappa_sweep(cfg)
     bands = split_bands(cfg.detector_points)
     width = cfg.detector_points
-    for row in rows:
+    for p in points:
+        row = p.search.crossing
         lhs = width * row.eps_global**2
         rhs = (
             len(bands.low) * row.eps_low**2 + len(bands.high) * row.eps_high**2
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert row.n == 200 and row.reached
+        assert row.n == 200 and p.search.reached
 
 
 def test_speckle_survey_smoke():
