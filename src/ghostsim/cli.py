@@ -4,13 +4,14 @@ Subcommands map one-to-one onto the experiment pipelines:
 
     converge     error curve + pattern snapshots for a single aperture
     sweep-kappa  minimal-N search across an aperture list
-    bands        low/high-band errors at the crossing checkpoint
     speckle      2D instantaneous speckle + coherence-width survey
     replay       recompute converge outputs from a stored record file
 
 Every run writes CSV data plus a manifest.json echoing the exact
 configuration and the source-stream version, so any output can be
-regenerated from its manifest alone.
+regenerated from its manifest alone.  ``converge`` and ``sweep-kappa`` also
+take a comma-separated ``--seed`` list: one run per seed in ``seed<s>/``,
+plus the medians over the seeds and a manifest naming the seeds.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .config import ExperimentConfig, config_from_values, load_config
-from .errors import ConfigError, RecordFormatError
+from .config import ExperimentConfig, config_from_values, load_config, parse_value
+from .errors import ConfigError, GeometryError, RecordFormatError
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
@@ -76,17 +79,6 @@ def write_kappa_csv(path: Path, points) -> None:
     _write_lines(path, lines)
 
 
-def write_bands_csv(path: Path, points) -> None:
-    lines = ["phi_m,kappa,n,reached,eps_global,eps_low,eps_high"]
-    for p in points:
-        at = p.search.crossing
-        lines.append(
-            f"{_fmt(p.phi)},{_fmt(p.kappa)},{at.n},{_fmt(p.search.reached)},"
-            f"{_fmt(at.eps_global)},{_fmt(at.eps_low)},{_fmt(at.eps_high)}"
-        )
-    _write_lines(path, lines)
-
-
 def write_speckle_csv(path: Path, points) -> None:
     lines = ["phi_m,n,l_c_m,fwhm_axis0_m,fwhm_axis1_m"]
     for p in points:
@@ -101,8 +93,32 @@ def write_grid_csv(path: Path, pattern) -> None:
     _write_lines(path, lines)
 
 
+def write_curve_median_csv(path: Path, results) -> None:
+    """Per-checkpoint medians over seeds of the three curve errors."""
+    lines = ["n,eps_global_median,eps_low_median,eps_high_median"]
+    for points in zip(*(r.curve for r in results)):
+        eps = np.median([[p.eps_global, p.eps_low, p.eps_high] for p in points], axis=0)
+        lines.append(f"{points[0].n}," + ",".join(_fmt(float(e)) for e in eps))
+    _write_lines(path, lines)
+
+
+def write_kappa_median_csv(path: Path, sweeps) -> None:
+    """Per aperture: the median N* over the seeds that reached tau, and how many did."""
+    lines = ["phi_m,kappa,n_star_median,reached_runs"]
+    for points in zip(*sweeps):
+        stars = [p.search.n_star for p in points if p.search.reached]
+        median = _fmt(float(np.median(stars))) if stars else ""
+        lines.append(
+            f"{_fmt(points[0].phi)},{_fmt(points[0].kappa)},{median},"
+            f"{len(stars)}/{len(points)}"
+        )
+    _write_lines(path, lines)
+
+
 def write_manifest(path: Path, command: str, config: ExperimentConfig,
-                   outputs, notes=(), stream: int = STREAM_VERSION) -> None:
+                   outputs, notes=(), stream: int = STREAM_VERSION,
+                   seeds=None) -> None:
+    """The run's manifest; a multi-seed run lists ``seeds`` instead of ``seed``."""
     doc = {
         "command": command,
         "version": __version__,
@@ -111,9 +127,21 @@ def write_manifest(path: Path, command: str, config: ExperimentConfig,
         "sampling_notes": list(notes),
         "stream": stream,
     }
+    if seeds is not None:
+        del doc["config"]["seed"]
+        doc["seeds"] = list(seeds)
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# Flags that set the config key of the same name, parsed by that key's parser.
+_KEY_FLAGS = {
+    "workers": "ignored (runs fold in order on one thread)",
+    "tau": "convergence threshold",
+    "schedule": "comma-separated checkpoint counts",
+    "phi_list": "comma-separated apertures [m]",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,20 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     specs = {
         "converge": "run one aperture over the full schedule",
         "sweep-kappa": "minimal-N threshold search across an aperture list",
-        "bands": "band-resolved errors at the threshold crossing",
         "speckle": "2D speckle snapshot and coherence-width survey",
         "replay": "recompute converge outputs from a record file",
     }
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, help="key = value config file")
-        sp.add_argument("--seed", type=int, help="base RNG seed")
-        sp.add_argument("--workers", type=int,
-                        help="ignored (runs fold in order on one thread)")
+        sp.add_argument("--seed", help="base RNG seed, or a comma-separated list "
+                                       "(converge and sweep-kappa: one run per seed)")
         sp.add_argument("--out-dir", type=Path, help="output directory")
-        sp.add_argument("--tau", type=float, help="convergence threshold")
-        sp.add_argument("--schedule", type=str, help="comma-separated checkpoint counts")
-        sp.add_argument("--phi-list", type=str, help="comma-separated apertures [m]")
+        for key, key_help in _KEY_FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), help=key_help)
         sp.add_argument(
             "--override-geometry", action="store_true",
             help="allow d != d1 + d2 (exploratory runs)",
@@ -150,35 +175,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.schedule is not None:
-        try:
-            overrides["schedule"] = tuple(int(p) for p in args.schedule.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --schedule {args.schedule!r}") from None
-    if args.phi_list is not None:
-        try:
-            overrides["phi_list"] = tuple(float(p) for p in args.phi_list.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --phi-list {args.phi_list!r}") from None
+def _seeds(raw: str) -> tuple[int, ...]:
+    seeds = tuple(parse_value("seed", part) for part in raw.split(","))
+    if None in seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"bad --seed {raw!r}: want distinct integers")
+    return seeds
+
+
+def _configs_from_args(args) -> list[ExperimentConfig]:
+    """The config of each run: one, or one per seed of a ``--seed`` list."""
+    overrides = {
+        key: parse_value(key, getattr(args, key))
+        for key in _KEY_FLAGS if getattr(args, key) is not None
+    }
     if args.override_geometry:
         overrides["allow_geometry_mismatch"] = True
     if args.config is not None:
-        return load_config(args.config, overrides)
-    return config_from_values(overrides)
-
-
-def _out_dir(args) -> Path:
-    out = args.out_dir if args.out_dir is not None else Path(f"ghostsim-{args.command}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        config = load_config(args.config, overrides)
+    else:
+        config = config_from_values(overrides)
+    if args.seed is None:
+        return [config]
+    return [config.replace(seed=s) for s in _seeds(args.seed)]
 
 
 def _emit_converge(out: Path, result: ConvergenceResult) -> list[Path]:
@@ -204,9 +222,11 @@ def _warn_notes(notes) -> None:
         print(f"warning: {note}", file=sys.stderr)
 
 
-def _cmd_converge(args) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(args)
+# Each command runs one config into one directory and returns its result
+# and the files it wrote, manifest last.
+
+
+def _cmd_converge(args, config: ExperimentConfig, out: Path):
     pipeline = GhostPipeline.from_config(config)
     _warn_notes(pipeline.sampling_notes)
     writer = None
@@ -224,52 +244,33 @@ def _cmd_converge(args) -> int:
                    result.sampling_notes)
     _print_curve(result)
     print(f"wrote {len(outputs)} files to {out}")
-    return 0
+    return result, outputs + [out / "manifest.json"]
 
 
-def _cmd_replay(args) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(args)
+def _cmd_replay(args, config: ExperimentConfig, out: Path):
     result = replay_converge(config, args.records)
     outputs = _emit_converge(out, result)
     write_manifest(out / "manifest.json", args.command, config, outputs,
                    result.sampling_notes, result.stream)
     _print_curve(result)
     print(f"wrote {len(outputs)} files to {out}")
-    return 0
+    return result, outputs + [out / "manifest.json"]
 
 
-def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(args)
+def _cmd_sweep(args, config: ExperimentConfig, out: Path):
     points = run_kappa_sweep(config)
     write_kappa_csv(out / "kappa.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"])
     for p in points:
+        at = p.search.crossing
         status = f"N*={p.search.n_star}" if p.search.reached else "not reached"
         print(f"phi={p.phi:.6g} m kappa={p.kappa:.4g}: {status} "
-              f"(budget {p.search.n_budget}, eps={p.search.eps_final:.5f})")
-    return 0
+              f"(budget {p.search.n_budget}, eps={p.search.eps_final:.5f}, "
+              f"eps_low={at.eps_low:.5f}, eps_high={at.eps_high:.5f})")
+    return points, [out / "kappa.csv", out / "manifest.json"]
 
 
-def _cmd_bands(args) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(args)
-    points = run_kappa_sweep(config)
-    write_bands_csv(out / "bands.csv", points)
-    write_manifest(out / "manifest.json", args.command, config, [out / "bands.csv"])
-    for p in points:
-        at = p.search.crossing
-        flag = "reached" if p.search.reached else "not reached"
-        print(f"kappa={p.kappa:.4g} N={at.n} ({flag}): "
-              f"eps_global={at.eps_global:.5f} eps_low={at.eps_low:.5f} "
-              f"eps_high={at.eps_high:.5f}")
-    return 0
-
-
-def _cmd_speckle(args) -> int:
-    config = _config_from_args(args)
-    out = _out_dir(args)
+def _cmd_speckle(args, config: ExperimentConfig, out: Path):
     points = run_speckle(config)
     outputs = [out / "speckle.csv"]
     write_speckle_csv(out / "speckle.csv", points)
@@ -283,24 +284,56 @@ def _cmd_speckle(args) -> int:
     for p in points:
         print(f"phi={p.phi:.6g} m: l_c={p.l_c:.6g} m "
               f"fwhm=({p.fwhm_axis0:.6g}, {p.fwhm_axis1:.6g}) m over N={p.n}")
-    return 0
+    return points, outputs + [out / "manifest.json"]
 
 
 _COMMANDS = {
     "converge": _cmd_converge,
     "replay": _cmd_replay,
     "sweep-kappa": _cmd_sweep,
-    "bands": _cmd_bands,
     "speckle": _cmd_speckle,
 }
+
+# The commands that take a seed list, with the file of medians over the seeds.
+_MEDIANS = {
+    "converge": ("curve_median.csv", write_curve_median_csv),
+    "sweep-kappa": ("kappa_median.csv", write_kappa_median_csv),
+}
+
+
+def _run_seeds(args, configs: list[ExperimentConfig], out: Path) -> None:
+    """One run per seed into ``seed<s>/``, then the medians and a manifest."""
+    name, write_median = _MEDIANS[args.command]
+    results, outputs = [], []
+    for config in configs:
+        sub = out / f"seed{config.seed}"
+        sub.mkdir(parents=True, exist_ok=True)
+        print(f"seed {config.seed}:")
+        result, written = _COMMANDS[args.command](args, config, sub)
+        results.append(result)
+        outputs.extend(written)
+    write_median(out / name, results)
+    outputs.append(out / name)
+    write_manifest(out / "manifest.json", args.command, configs[0], outputs,
+                   seeds=[c.seed for c in configs])
+    print(f"wrote {name} over {len(configs)} seeds to {out}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, RecordFormatError, FileNotFoundError) as exc:
+        configs = _configs_from_args(args)
+        if len(configs) > 1 and args.command not in _MEDIANS:
+            raise ConfigError(f"{args.command} takes a single --seed, got {args.seed!r}")
+        out = args.out_dir if args.out_dir is not None else Path(f"ghostsim-{args.command}")
+        out.mkdir(parents=True, exist_ok=True)
+        if len(configs) > 1:
+            _run_seeds(args, configs, out)
+        else:
+            _COMMANDS[args.command](args, configs[0], out)
+        return 0
+    except (ConfigError, GeometryError, RecordFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

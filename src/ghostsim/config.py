@@ -175,7 +175,8 @@ _PARSERS = {
 }
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The value of config key ``key`` from its text; empty text means unset (None)."""
     raw = raw.strip()
     if raw == "":
         return None
@@ -200,7 +201,7 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     return values
 
 

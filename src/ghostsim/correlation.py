@@ -5,9 +5,9 @@ intensity i1 against every pixel of a reference pattern i2:
 
     G(q) = (1/N) sum_n i1_n i2_n(q) - (1/N^2) (sum_n i1_n) (sum_n i2_n(q))
 
-No Bessel correction is applied.  Sums are carried in float64 with
-compensated (error-carrying) accumulation so that long runs, checkpoints and
-merges of partial runs stay reproducible to the last few ulps.
+No Bessel correction is applied.  Batches are folded in order into float64
+sums with compensated (error-carrying) accumulation, so long runs and their
+checkpoints stay accurate to the last few ulps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _check_batch(i1, i2):
 
 
 class CorrelationAccumulator:
-    """Mergeable running sums (n, s1, s2[q], s12[q]) for the covariance estimator."""
+    """Compensated running sums (n, s1, s2[q], s12[q]) for the covariance estimator."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -82,20 +82,6 @@ class CorrelationAccumulator:
             np.tensordot(i1, i2, axes=(0, 0)),
             i1.shape[0],
         )
-
-    def merge(self, other: "CorrelationAccumulator") -> "CorrelationAccumulator":
-        """Combine two partial accumulations; commutative and order-safe."""
-        if other.grid != self.grid:
-            raise GridMismatchError("cannot merge accumulators on different grids")
-        out = CorrelationAccumulator(self.grid)
-        out.count = self.count + other.count
-        out._s1, e1 = _two_sum(self._s1, other._s1)
-        out._c1 = self._c1 + other._c1 + e1
-        out._s2, e2 = _two_sum(self._s2, other._s2)
-        out._c2 = self._c2 + other._c2 + e2
-        out._s12, e12 = _two_sum(self._s12, other._s12)
-        out._c12 = self._c12 + other._c12 + e12
-        return out
 
     def copy(self) -> "CorrelationAccumulator":
         out = CorrelationAccumulator(self.grid)

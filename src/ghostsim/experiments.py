@@ -52,6 +52,7 @@ from .propagation import (
 from .records import RecordHeader, RecordWriter, open_records
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 @dataclass(eq=False)
@@ -272,6 +273,8 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     """Minimal-N search per aperture in phi_list; independent streams per entry."""
     if config.phi_list is None or len(config.phi_list) < 2:
         raise ConfigError("sweep requires phi_list with at least two apertures")
+    for phi in config.phi_list:  # refuse a too-wide aperture before any search runs
+        SourceSpec(config.source_grid(), phi, config.sigma2)
     out: list[KappaPoint] = []
     for i, phi in enumerate(config.phi_list):
         cfg = config.replace(phi=phi)
@@ -369,21 +372,19 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
 
 
 def record_header_for(config: ExperimentConfig) -> RecordHeader:
+    """The header of a run's records: every header field the config shares,
+    the detector origin and pitch of its grid, and no records yet."""
     det = config.detector_grid()
-    return RecordHeader(
-        n_records=0,
-        detector_points=config.detector_points,
-        detector_pitch=det.pitch[0],
-        detector_origin=det.origin[0],
-        wavelength=config.wavelength,
-        d1=config.d1,
-        d2=config.d2,
-        d=config.d,
-        seed=config.seed,
-        sigma2=config.sigma2,
-        phi=config.phi,
-        batch=config.batch,
-    )
+    shared = {
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(RecordHeader) if f.name in _CONFIG_FIELDS
+    }
+    return RecordHeader(**{
+        **shared,
+        "n_records": 0,
+        "detector_pitch": det.pitch[0],
+        "detector_origin": det.origin[0],
+    })
 
 
 def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 from .fields import ComplexField, RealPattern
 from .grids import Grid
 
@@ -98,12 +98,19 @@ def reference_from_mask(
 
 
 def load_mask(path, grid: Grid) -> TransmissionMask:
-    """Read a one-transmittance-per-line text file onto the object grid."""
-    values = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    if values.ndim != 1:
-        raise ValueError("mask file must contain a single column")
-    if values.size != grid.npoints:
-        raise ValueError(
-            f"mask file has {values.size} rows, object grid expects {grid.npoints}"
-        )
-    return TransmissionMask(grid, values)
+    """Read a one-transmittance-per-line text file onto the object grid.
+
+    A file that does not hold one valid transmittance per object-grid point
+    is a bad input, so it raises ConfigError naming the file.
+    """
+    try:
+        values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        if values.ndim != 1:
+            raise ValueError("must contain a single column")
+        if values.size != grid.npoints:
+            raise ValueError(
+                f"{values.size} rows, object grid expects {grid.npoints}"
+            )
+        return TransmissionMask(grid, values)
+    except ValueError as exc:
+        raise ConfigError(f"mask file {path}: {exc}") from None

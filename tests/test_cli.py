@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from ghostsim import __version__
 from ghostsim.analysis import split_bands
 from ghostsim.cli import main
+from ghostsim.config import load_config
+
+STUDIES = Path(__file__).resolve().parent.parent / "studies"
 
 SMALL = """
 source_points = 128
@@ -185,11 +189,10 @@ def test_bands_rows_bracket_the_global_error(tmp_path):
     cfg = write_config(tmp_path, extra="phi_list = 4e-4, 8e-4\n")
     out = tmp_path / "out"
     assert main([
-        "bands", "--config", str(cfg), "--out-dir", str(out), "--tau", "1.0",
+        "sweep-kappa", "--config", str(cfg), "--out-dir", str(out), "--tau", "1.0",
     ]) == 0
-    cols, rows = read_csv(out / "bands.csv")
-    assert cols == ["phi_m", "kappa", "n", "reached", "eps_global",
-                    "eps_low", "eps_high"]
+    cols, rows = read_csv(out / "kappa.csv")
+    assert cols[4:] == ["eps_global", "eps_low", "eps_high"]
     bands = split_bands(64)
     bracketed = 0
     for row in rows:
@@ -200,6 +203,79 @@ def test_bands_rows_bracket_the_global_error(tmp_path):
         if min(el, eh) < eg < max(el, eh):
             bracketed += 1
     assert bracketed > 0  # forced by the identity whenever eps_low != eps_high
+
+
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_two_seed_converge_matches_single_seed_runs_and_writes_medians(tmp_path):
+    cfg = write_config(tmp_path)
+    multi = tmp_path / "multi"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(multi),
+                 "--seed", "3,5"]) == 0
+    curves = []
+    for seed in (3, 5):
+        single = tmp_path / f"single{seed}"
+        assert main(["converge", "--config", str(cfg), "--out-dir", str(single),
+                     "--seed", str(seed)]) == 0
+        assert files_under(multi / f"seed{seed}") == files_under(single)
+        _, rows = read_csv(single / "curve.csv")
+        curves.append([[float(v) for v in r[1:]] for r in rows])
+
+    cols, rows = read_csv(multi / "curve_median.csv")
+    assert cols == ["n", "eps_global_median", "eps_low_median", "eps_high_median"]
+    assert [r[0] for r in rows] == ["200", "500"]
+    for k, row in enumerate(rows):
+        for j, value in enumerate(row[1:]):
+            assert float(value) == np.median([c[k][j] for c in curves])
+
+    doc = json.loads((multi / "manifest.json").read_text())
+    assert doc["seeds"] == [3, 5] and "seed" not in doc["config"]
+    assert set(doc["outputs"]) == {"curve_median.csv"} | {
+        f"seed{s}/{name}" for s in (3, 5)
+        for name in ("curve.csv", "pattern_N200.csv", "pattern_N500.csv",
+                     "records.gidat", "manifest.json")
+    }
+
+
+def test_two_seed_sweep_matches_single_seed_runs_and_writes_medians(tmp_path):
+    cfg = write_config(tmp_path, extra="phi_list = 4e-4, 8e-4\n")
+    multi = tmp_path / "multi"
+    argv = ["sweep-kappa", "--config", str(cfg), "--tau", "0.2",
+            "--schedule", "200,500,1000,2000"]
+    assert main(argv + ["--out-dir", str(multi), "--seed", "0,1"]) == 0
+    stars = []
+    for seed in (0, 1):
+        single = tmp_path / f"single{seed}"
+        assert main(argv + ["--out-dir", str(single), "--seed", str(seed)]) == 0
+        assert files_under(multi / f"seed{seed}") == files_under(single)
+        _, rows = read_csv(single / "kappa.csv")
+        stars.append([int(r[2]) if r[3] == "true" else None for r in rows])
+
+    cols, rows = read_csv(multi / "kappa_median.csv")
+    assert cols == ["phi_m", "kappa", "n_star_median", "reached_runs"]
+    assert [float(r[0]) for r in rows] == [4e-4, 8e-4]
+    for k, row in enumerate(rows):
+        reached = [s[k] for s in stars if s[k] is not None]
+        assert row[3] == f"{len(reached)}/2"
+        if reached:
+            assert float(row[2]) == np.median(reached)
+        else:
+            assert row[2] == ""
+    assert any(s is not None for s in stars[0] + stars[1])  # a median was taken
+    doc = json.loads((multi / "manifest.json").read_text())
+    assert doc["seeds"] == [0, 1]
+    assert "kappa_median.csv" in doc["outputs"] and "seed1/kappa.csv" in doc["outputs"]
+
+
+@pytest.mark.parametrize("command", [["replay", "--records", "r.gidat"], ["speckle"]])
+def test_seed_list_is_refused_where_one_seed_is_fixed(tmp_path, command, capsys):
+    out = tmp_path / "out"
+    assert main(command + ["--seed", "0,1", "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_speckle_outputs_and_coherence_arithmetic(tmp_path):
@@ -246,10 +322,18 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["converge", "--schedule", "10,x"],
         ["sweep-kappa", "--phi-list", "1e-3,?"],
         ["sweep-kappa"],  # needs at least two apertures
+        ["converge", "--config", "wide.cfg"],  # aperture wider than the source grid
+        ["converge", "--config", "mask.cfg"],  # mask file with the wrong row count
+        ["sweep-kappa", "--phi-list", "1e-3,3e-3"],  # second aperture too wide
+        ["converge", "--seed", "0,x"],
+        ["converge", "--seed", "1,1"],
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.cfg").write_text("phi = 3e-3\n")
+    (tmp_path / "short.txt").write_text("1.0\n" * 10)
+    (tmp_path / "mask.cfg").write_text("mask_file = short.txt\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -266,3 +350,9 @@ def test_default_out_dir_is_named_after_command(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, extra="write_records = false\n")
     assert main(["converge", "--config", str(cfg)]) == 0
     assert (tmp_path / "ghostsim-converge" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["convergence.cfg", "kappa.cfg", "speckle.cfg"])
+def test_study_configs_load(name):
+    config = load_config(STUDIES / name)
+    assert config.seed == 0  # the seeds come from the command line

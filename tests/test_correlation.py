@@ -79,46 +79,6 @@ def test_matches_two_pass_covariance(rows):
         assert abs(got - want) <= 1e-12 * scale
 
 
-@given(
-    st.lists(st.tuples(positive, positive, positive), min_size=4, max_size=24),
-    st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=40, deadline=None)
-def test_merge_equals_single_pass(rows, cut_seed):
-    whole = CorrelationAccumulator(GRID2)
-    for i1, a, b in rows:
-        whole.update(i1, RealPattern(GRID2, np.array([a, b])))
-    cut = max(1, (len(rows) * cut_seed) // 4)
-    left = CorrelationAccumulator(GRID2)
-    right = CorrelationAccumulator(GRID2)
-    for i1, a, b in rows[:cut]:
-        left.update(i1, RealPattern(GRID2, np.array([a, b])))
-    for i1, a, b in rows[cut:]:
-        right.update(i1, RealPattern(GRID2, np.array([a, b])))
-    merged = left.merge(right)
-    assert merged.count == whole.count
-    scale = abs(whole.sum1) + 1e-300
-    assert abs(merged.sum1 - whole.sum1) <= 1e-12 * scale
-    g_m = merged.finalize().samples
-    g_w = whole.finalize().samples
-    assert np.allclose(g_m, g_w, rtol=1e-9, atol=1e-12 * (np.abs(g_w).max() + 1e-300))
-
-
-def test_merge_is_bitwise_commutative():
-    rng = np.random.default_rng(12)
-    a = CorrelationAccumulator(GRID2)
-    b = CorrelationAccumulator(GRID2)
-    for _ in range(200):
-        a.update(rng.exponential(), pattern2(rng.exponential()))
-        b.update(rng.exponential(), pattern2(rng.exponential()))
-    ab = a.merge(b)
-    ba = b.merge(a)
-    assert ab.sum1 == ba.sum1
-    assert np.array_equal(ab.sum2, ba.sum2)
-    assert np.array_equal(ab.sum12, ba.sum12)
-    assert np.array_equal(ab.finalize().samples, ba.finalize().samples)
-
-
 def test_fold_batch_matches_updates():
     rng = np.random.default_rng(13)
     n = 257
