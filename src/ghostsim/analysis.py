@@ -8,7 +8,7 @@ insensitive to absolute intensity scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -221,68 +221,49 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Outcome of scanning a convergence curve against a threshold tau."""
+    """A convergence curve scanned up to its first point with eps_global <= tau.
 
-    reached: bool
-    n_star: int | None
+    The curve ends at the crossing, or at the budget if tau was not reached.
+    """
+
+    tau: float
     n_budget: int
-    eps_final: float
-    stable: bool | None
     curve: tuple[CurvePoint, ...]
 
     @property
     def crossing(self) -> CurvePoint:
         """The point at n_star, or the last point if tau was not reached."""
-        if self.reached:
-            return next(c for c in self.curve if c.n == self.n_star)
         return self.curve[-1]
+
+    @property
+    def reached(self) -> bool:
+        return self.crossing.eps_global <= self.tau
+
+    @property
+    def n_star(self) -> int | None:
+        return self.crossing.n if self.reached else None
+
+    @property
+    def eps_final(self) -> float:
+        return self.crossing.eps_global
 
 
 def min_n_to_threshold(
-    runner: Callable[[tuple[int, ...]], Iterable[CurvePoint]],
-    tau: float,
-    schedule: Sequence[int],
-    n_max: int | None = None,
+    points: Iterable[CurvePoint], tau: float, n_budget: int
 ) -> ThresholdSearch:
-    """Smallest scheduled N whose global error reaches tau.
+    """Smallest N of a convergence curve whose global error reaches tau.
 
-    ``runner(schedule)`` must yield CurvePoint objects in schedule order; it
-    is consumed lazily and abandoned one checkpoint after the first crossing
-    (that extra point feeds the stability flag).  If no scheduled N at or
-    below n_max reaches tau, the search reports not-reached with the final
-    error.
+    ``points`` must come in increasing N; they are consumed lazily, and none
+    past the first crossing is pulled.  If no point reaches tau, the search
+    reports not-reached with the final error.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
-    sched = [int(n) for n in schedule]
-    if not sched or any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 2:
-        raise ValueError("schedule must be strictly increasing counts >= 2")
-    if n_max is not None:
-        sched = [n for n in sched if n <= n_max]
-        if not sched:
-            raise ValueError("n_max excludes every scheduled checkpoint")
-    budget = sched[-1]
-
-    points: list[CurvePoint] = []
-    crossing: CurvePoint | None = None
-    for point in runner(tuple(sched)):
-        points.append(point)
-        if crossing is None:
-            if point.eps_global <= tau:
-                crossing = point
-                if point.n == budget:
-                    break
-        else:
-            return ThresholdSearch(
-                True, crossing.n, budget, crossing.eps_global,
-                point.eps_global <= tau, tuple(points),
-            )
-    if crossing is not None:
-        return ThresholdSearch(
-            True, crossing.n, budget, crossing.eps_global, None, tuple(points)
-        )
-    if not points:
-        raise ValueError("runner yielded no checkpoints")
-    return ThresholdSearch(
-        False, None, budget, points[-1].eps_global, None, tuple(points)
-    )
+    curve: list[CurvePoint] = []
+    for point in points:
+        curve.append(point)
+        if point.eps_global <= tau:
+            break
+    if not curve:
+        raise ValueError("no checkpoints to search")
+    return ThresholdSearch(tau, n_budget, tuple(curve))

@@ -69,23 +69,14 @@ class ExperimentConfig:
     speckle_distance: float = 0.060
 
     def __post_init__(self):
-        lengths = {
-            "wavelength": self.wavelength,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d": self.d,
-            "source_pitch": self.source_pitch,
-            "object_pitch": self.object_pitch,
-            "detector_pitch": self.detector_pitch,
-            "slit_width": self.slit_width,
-            "slit_separation": self.slit_separation,
-            "phi": self.phi,
-            "speckle_pitch": self.speckle_pitch,
-            "speckle_distance": self.speckle_distance,
-        }
-        for name, value in lengths.items():
+        for name in _POSITIVE:
+            value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
+        for name in _POSITIVE_ENTRIES:
+            values = getattr(self, name)
+            if values is not None and not all(v > 0 for v in values):
+                raise ConfigError(f"{name} entries must be positive, got {values!r}")
         if not self.allow_geometry_mismatch:
             if abs(self.d - (self.d1 + self.d2)) > _REL_TOL * self.d:
                 raise ConfigError(
@@ -103,27 +94,24 @@ class ExperimentConfig:
             raise ConfigError("schedule must be a non-empty strictly increasing list")
         if self.schedule[0] < 2:
             raise ConfigError("schedule counts must be >= 2")
-        if not self.tau > 0:
-            raise ConfigError("tau must be positive")
-        if self.sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
-        if self.n_max is not None and self.n_max < 2:
-            raise ConfigError("n_max must be >= 2 when set")
-        if self.phi_list is not None and any(p <= 0 for p in self.phi_list):
-            raise ConfigError("phi_list entries must be positive")
-        if any(p <= 0 for p in self.speckle_phi_list):
-            raise ConfigError("speckle_phi_list entries must be positive")
+        if self.n_max is not None and self.n_max < self.schedule[0]:
+            raise ConfigError(
+                f"n_max = {self.n_max} is below the first checkpoint {self.schedule[0]}"
+            )
         if self.speckle_n < 2:
             raise ConfigError("speckle_n must be >= 2")
         if self.window is not None:
+            if len(self.window) != 2:
+                raise ConfigError("window must be exactly two indices: low, high")
             m, n = self.window
-            if not (0 <= m <= n <= self.detector_points - 1):
+            if not (0 <= m and m + 2 <= n <= self.detector_points - 1):
                 raise ConfigError(
-                    f"window {self.window} out of range for {self.detector_points} pixels"
+                    f"window {self.window} must span at least 3 of the "
+                    f"{self.detector_points} detector pixels"
                 )
 
     def source_grid(self) -> Grid:
@@ -160,19 +148,29 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parser_for(hint):
-    """Text parser for a field type: scalars, optionals and tuples of a scalar."""
+def _unwrap(hint):
+    """The type of a field with its optional (``| None``) part dropped."""
     if get_origin(hint) in (Union, UnionType):
         (hint,) = (a for a in get_args(hint) if a is not type(None))
+    return hint
+
+
+def _parser_for(hint):
+    """Text parser for a field type: scalars, optionals and tuples of a scalar."""
+    hint = _unwrap(hint)
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         return lambda raw: tuple(item(part) for part in raw.split(","))
     return _parse_bool if hint is bool else hint
 
 
-_PARSERS = {
-    name: _parser_for(hint) for name, hint in get_type_hints(ExperimentConfig).items()
-}
+_HINTS = get_type_hints(ExperimentConfig)
+_PARSERS = {name: _parser_for(hint) for name, hint in _HINTS.items()}
+# Every float field, and every entry of a tuple-of-floats field, must be > 0.
+_POSITIVE = tuple(name for name, hint in _HINTS.items() if _unwrap(hint) is float)
+_POSITIVE_ENTRIES = tuple(
+    name for name, hint in _HINTS.items() if _unwrap(hint) == tuple[float, ...]
+)
 
 
 def parse_value(key: str, raw: str):
@@ -214,19 +212,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    """Build a config from a plain dict, dropping unset (None) entries.
-
-    ``window`` is required to be exactly two indices when present.
-    """
+    """Build a config from a plain dict, dropping unset (None) entries."""
     clean = {k: v for k, v in values.items() if v is not None}
     unknown = set(clean) - _PARSERS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "window" in clean:
-        w = tuple(clean["window"])
-        if len(w) != 2:
-            raise ConfigError("window must be exactly two indices: low, high")
-        clean["window"] = (int(w[0]), int(w[1]))
     try:
         return ExperimentConfig(**clean)
     except TypeError as exc:

@@ -255,32 +255,34 @@ class KappaPoint:
     search: ThresholdSearch
 
 
-def run_threshold(config: ExperimentConfig, *, index_base: int = 0) -> ThresholdSearch:
-    """Threshold search for a single aperture; config.phi is the aperture."""
-    pipe = GhostPipeline.from_config(config)
-    return min_n_to_threshold(
-        lambda schedule: (
-            _score(pipe, n, acc)[1]
-            for n, acc in iter_checkpoints(pipe, schedule, index_base=index_base)
-        ),
-        config.tau,
-        config.schedule,
-        n_max=config.n_max,
+def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
+                  pipeline: GhostPipeline | None = None) -> ThresholdSearch:
+    """Threshold search for a single aperture; config.phi is the aperture.
+
+    The schedule is cut at n_max, and the fold stops at the first checkpoint
+    whose error reaches tau.
+    """
+    pipe = pipeline if pipeline is not None else GhostPipeline.from_config(config)
+    schedule = [n for n in config.schedule if config.n_max is None or n <= config.n_max]
+    points = (
+        _score(pipe, n, acc)[1]
+        for n, acc in iter_checkpoints(pipe, schedule, index_base=index_base)
     )
+    return min_n_to_threshold(points, config.tau, schedule[-1])
 
 
 def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     """Minimal-N search per aperture in phi_list; independent streams per entry."""
     if config.phi_list is None or len(config.phi_list) < 2:
         raise ConfigError("sweep requires phi_list with at least two apertures")
-    for phi in config.phi_list:  # refuse a too-wide aperture before any search runs
-        SourceSpec(config.source_grid(), phi, config.sigma2)
+    # every pipeline is built, so a too-wide aperture is refused, before any search runs
+    pipes = [GhostPipeline.from_config(config.replace(phi=phi)) for phi in config.phi_list]
     out: list[KappaPoint] = []
-    for i, phi in enumerate(config.phi_list):
-        cfg = config.replace(phi=phi)
-        l_c = coherence_length(cfg.wavelength, cfg.d1, phi)
-        search = run_threshold(cfg, index_base=i * _STREAM_STRIDE)
-        out.append(KappaPoint(phi=phi, kappa=kappa(cfg.slit_width, l_c), search=search))
+    for i, pipe in enumerate(pipes):
+        cfg = pipe.config
+        l_c = coherence_length(cfg.wavelength, cfg.d1, cfg.phi)
+        search = run_threshold(cfg, index_base=i * _STREAM_STRIDE, pipeline=pipe)
+        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search))
     return out
 
 
@@ -324,6 +326,8 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     factor, whose width is compared to wavelength * distance / aperture.
     """
     grid_in = config.speckle_grid()
+    # refuse a too-wide aperture before any field is drawn
+    specs = [SourceSpec(grid_in, phi, config.sigma2) for phi in config.speckle_phi_list]
     lam = config.wavelength
     z = config.speckle_distance
     grid_out = fft_output_grid(grid_in, z, lam)
@@ -333,8 +337,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     per_batch = max(1, 4_194_304 // (m * m))
     bounds = batch_bounds(config.speckle_n, (config.speckle_n,), per_batch)
     out: list[SpecklePoint] = []
-    for k, phi in enumerate(config.speckle_phi_list):
-        spec = SourceSpec(grid_in, phi, config.sigma2)
+    for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         index_base = k * _STREAM_STRIDE
         snapshot: RealPattern | None = None
 

@@ -206,47 +206,32 @@ def test_peak_position_failures():
         peak_position(valley, 10, 0)
 
 
-def make_runner(eps_by_n, consumed):
-    def runner(schedule):
-        for n in schedule:
-            consumed.append(n)
-            yield CurvePoint(n, eps_by_n[n], eps_by_n[n] / 2.0, eps_by_n[n] * 1.5)
-
-    return runner
+def curve(eps_by_n):
+    return [CurvePoint(n, e, e / 2.0, e * 1.5) for n, e in eps_by_n.items()]
 
 
-def test_threshold_search_crossing_and_stability():
+def test_threshold_search_stops_at_the_crossing():
     eps = {10: 0.5, 20: 0.2, 40: 0.05, 80: 0.04, 160: 0.01}
-    consumed = []
-    res = min_n_to_threshold(make_runner(eps, consumed), 0.07, (10, 20, 40, 80, 160))
+    points = iter(curve(eps))
+    res = min_n_to_threshold(points, 0.07, 160)
     assert res.reached
     assert res.n_star == 40
-    assert res.stable is True
     assert res.eps_final == 0.05
     assert res.n_budget == 160
-    assert [p.n for p in res.curve] == [10, 20, 40, 80]
-    assert consumed == [10, 20, 40, 80]  # abandoned one point after the crossing
-
-
-def test_threshold_search_unstable_crossing():
-    eps = {10: 0.06, 20: 0.2, 40: 0.01}
-    res = min_n_to_threshold(make_runner(eps, []), 0.07, (10, 20, 40))
-    assert res.reached
-    assert res.n_star == 10
-    assert res.stable is False
+    assert [p.n for p in res.curve] == [10, 20, 40]
+    assert [p.n for p in points] == [80, 160]  # nothing past the crossing is pulled
 
 
 def test_threshold_search_crossing_at_budget():
     eps = {10: 0.5, 20: 0.06}
-    res = min_n_to_threshold(make_runner(eps, []), 0.07, (10, 20))
+    res = min_n_to_threshold(curve(eps), 0.07, 20)
     assert res.reached
     assert res.n_star == 20
-    assert res.stable is None
 
 
 def test_threshold_search_not_reached():
     eps = {10: 0.5, 20: 0.3}
-    res = min_n_to_threshold(make_runner(eps, []), 0.07, (10, 20))
+    res = min_n_to_threshold(curve(eps), 0.07, 20)
     assert not res.reached
     assert res.n_star is None
     assert res.eps_final == 0.3
@@ -254,39 +239,23 @@ def test_threshold_search_not_reached():
 
 def test_threshold_search_crossing_point():
     eps = {10: 0.5, 20: 0.06, 40: 0.08}
-    res = min_n_to_threshold(make_runner(eps, []), 0.07, (10, 20, 40))
-    assert res.crossing == res.curve[1]  # the point at n_star, not the last one
+    res = min_n_to_threshold(curve(eps), 0.07, 40)
+    assert res.crossing == curve(eps)[1]  # the point at n_star, not the last one
     assert res.crossing.n == 20 and res.crossing.eps_global == 0.06
-    missed = min_n_to_threshold(make_runner(eps, []), 0.01, (10, 20, 40))
-    assert missed.crossing == missed.curve[-1]
+    missed = min_n_to_threshold(curve(eps), 0.01, 40)
+    assert missed.crossing == curve(eps)[-1]
     assert missed.crossing.n == 40
-
-
-def test_threshold_search_n_max_trims_schedule():
-    eps = {10: 0.5, 20: 0.06, 40: 0.01}
-    consumed = []
-    res = min_n_to_threshold(make_runner(eps, consumed), 0.07, (10, 20, 40), n_max=25)
-    assert res.n_budget == 20
-    assert res.n_star == 20
-    assert consumed == [10, 20]
 
 
 def test_threshold_search_monotone_in_tau():
     eps = {10: 0.5, 20: 0.2, 40: 0.05, 80: 0.01}
-    loose = min_n_to_threshold(make_runner(eps, []), 0.3, (10, 20, 40, 80))
-    tight = min_n_to_threshold(make_runner(eps, []), 0.05, (10, 20, 40, 80))
+    loose = min_n_to_threshold(curve(eps), 0.3, 80)
+    tight = min_n_to_threshold(curve(eps), 0.05, 80)
     assert loose.n_star <= tight.n_star
 
 
 def test_threshold_search_validation():
-    eps = {10: 0.5}
     with pytest.raises(ValueError):
-        min_n_to_threshold(make_runner(eps, []), 0.0, (10,))
+        min_n_to_threshold(curve({10: 0.5}), 0.0, 10)
     with pytest.raises(ValueError):
-        min_n_to_threshold(make_runner(eps, []), 0.1, ())
-    with pytest.raises(ValueError):
-        min_n_to_threshold(make_runner(eps, []), 0.1, (10, 10))
-    with pytest.raises(ValueError):
-        min_n_to_threshold(make_runner(eps, []), 0.1, (1, 10))
-    with pytest.raises(ValueError):
-        min_n_to_threshold(make_runner(eps, []), 0.1, (10, 20), n_max=5)
+        min_n_to_threshold([], 0.1, 10)

@@ -327,6 +327,9 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["sweep-kappa", "--phi-list", "1e-3,3e-3"],  # second aperture too wide
         ["converge", "--seed", "0,x"],
         ["converge", "--seed", "1,1"],
+        ["sweep-kappa", "--config", "nmax.cfg"],  # n_max below the first checkpoint
+        ["converge", "--config", "narrow.cfg"],  # window too narrow for the bands
+        ["converge", "--config", "nan.cfg"],  # sigma2 = nan
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
@@ -334,6 +337,11 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     (tmp_path / "wide.cfg").write_text("phi = 3e-3\n")
     (tmp_path / "short.txt").write_text("1.0\n" * 10)
     (tmp_path / "mask.cfg").write_text("mask_file = short.txt\n")
+    (tmp_path / "nmax.cfg").write_text(
+        "n_max = 100\nschedule = 200, 400\nphi_list = 0.6e-3, 1.2e-3\n"
+    )
+    (tmp_path / "narrow.cfg").write_text("window = 5, 6\n")
+    (tmp_path / "nan.cfg").write_text("sigma2 = nan\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

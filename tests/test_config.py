@@ -51,6 +51,10 @@ def test_reference_arm_must_span_both_hops():
         {"speckle_n": 1},
         {"window": (10, 5)},
         {"window": (0, 256)},
+        {"schedule": (200, 400), "n_max": 100},  # below the first checkpoint
+        {"window": (5, 6)},  # too narrow to split into bands
+        {"window": (1, 2, 3)},
+        {"sigma2": float("nan")},
     ],
 )
 def test_validation_rejects(changes):
@@ -107,7 +111,7 @@ def test_parse_config_text_rejects(line, fragment):
 
 
 def test_config_from_values_window_rules():
-    cfg = config_from_values({"window": [10, 20], "phi": None})
+    cfg = config_from_values({"window": (10, 20), "phi": None})
     assert cfg.window == (10, 20)
     assert cfg.phi == ExperimentConfig().phi  # None entries are dropped
     with pytest.raises(ConfigError, match="window"):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from ghostsim.analysis import normalize_unit, pattern_errors, rms_error
 from ghostsim.config import ExperimentConfig
-from ghostsim.errors import ConfigError, RecordFormatError
+from ghostsim import experiments
+from ghostsim.errors import ConfigError, GeometryError, RecordFormatError
 from ghostsim.experiments import (
     GhostPipeline,
     batch_bounds,
@@ -163,9 +164,9 @@ def test_iter_checkpoints_is_lazy():
     it.close()  # abandoning must not run the huge remainder
 
 
-def test_threshold_search_draws_nothing_past_the_stability_checkpoint(monkeypatch):
-    # tau = 1 crosses at 200; the search reads one more checkpoint (400) for
-    # the stability flag and must not draw a batch beyond it.
+@pytest.fixture
+def drawn_stops(monkeypatch):
+    """The stop index of every batch the pipeline draws."""
     stops = []
     draw = GhostPipeline.batch_intensities
 
@@ -174,11 +175,25 @@ def test_threshold_search_draws_nothing_past_the_stability_checkpoint(monkeypatc
         return draw(self, start, stop, index_base)
 
     monkeypatch.setattr(GhostPipeline, "batch_intensities", counting)
+    return stops
+
+
+def test_threshold_search_draws_nothing_past_the_crossing(drawn_stops):
+    # tau = 1 crosses at the first checkpoint, 200: no batch past it is drawn.
     cfg = small_config(schedule=(200, 400, 800, 1600), tau=1.0)
     search = run_threshold(cfg)
-    assert search.n_star == 200 and search.stable
+    assert search.n_star == 200
+    assert [p.n for p in search.curve] == [200]
+    assert drawn_stops == [b for _, b in batch_bounds(200, cfg.schedule, cfg.batch)]
+
+
+def test_run_threshold_cuts_the_schedule_at_n_max(drawn_stops):
+    cfg = small_config(schedule=(200, 400, 800), tau=1e-6, n_max=500)
+    search = run_threshold(cfg)
+    assert not search.reached
+    assert search.n_budget == 400
     assert [p.n for p in search.curve] == [200, 400]
-    assert stops == [b for _, b in batch_bounds(400, cfg.schedule, cfg.batch)]
+    assert drawn_stops == [b for _, b in batch_bounds(400, cfg.schedule, cfg.batch)]
 
 
 def test_run_converge_shapes_and_normalization():
@@ -327,6 +342,22 @@ def test_speckle_survey_smoke():
     # halving the aperture doubles the coherence scale, so widths must grow
     assert points[1].fwhm_axis0 > points[0].fwhm_axis0
     assert points[1].fwhm_axis1 > points[0].fwhm_axis1
+
+
+def test_speckle_refuses_a_too_wide_aperture_before_any_draw(monkeypatch):
+    calls = []
+    draw = experiments.draw_source_block
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "draw_source_block", counting)
+    # the 48 px grid spans 1.92 mm: the first aperture fits, the second does not
+    cfg = ExperimentConfig(speckle_points=48, speckle_phi_list=(5e-4, 5e-3), speckle_n=64)
+    with pytest.raises(GeometryError):
+        run_speckle(cfg)
+    assert calls == []
 
 
 def test_sigma2_scaling_leaves_normalized_outputs_identical():
