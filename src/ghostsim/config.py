@@ -69,6 +69,10 @@ class ExperimentConfig:
     speckle_distance: float = 0.060
 
     def __post_init__(self):
+        for name in _TUPLES:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
         for name in _POSITIVE:
             value = getattr(self, name)
             if not value > 0:
@@ -166,6 +170,8 @@ def _parser_for(hint):
 
 _HINTS = get_type_hints(ExperimentConfig)
 _PARSERS = {name: _parser_for(hint) for name, hint in _HINTS.items()}
+# Tuple fields hold tuples even when given lists, so configs stay hashable.
+_TUPLES = tuple(name for name, hint in _HINTS.items() if get_origin(_unwrap(hint)) is tuple)
 # Every float field, and every entry of a tuple-of-floats field, must be > 0.
 _POSITIVE = tuple(name for name, hint in _HINTS.items() if _unwrap(hint) is float)
 _POSITIVE_ENTRIES = tuple(

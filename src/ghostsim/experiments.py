@@ -8,9 +8,12 @@ needs only
     i1 = |(k2 * t) @ K1 @ E|^2 = |v @ E|^2        (scalar arm)
     i2 = |K @ E|^2                                 (reference arm)
 
-so a batch of realizations is two complex GEMMs.  Source pixels outside the
-aperture are always zero, so v and K keep only the in-aperture columns and
-the draw produces only those pixels.
+Source pixels outside the aperture are always zero, so v and K keep only the
+in-aperture columns and the draw produces only those pixels.  K is smooth
+across the detector, so it is held as the propagator to a few dozen
+Chebyshev nodes followed by a real interpolation to the detector pixels:
+a batch of realizations is one complex GEMM to the nodes and one real GEMM
+from them.
 
 Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
 and the batch size alone) are folded in index order into one accumulator on
@@ -44,8 +47,10 @@ from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wra
 from .grids import Grid
 from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
 from .propagation import (
+    chebyshev_factors,
     fft_output_grid,
     fresnel_kernel,
+    fresnel_matrix,
     point_weights,
     validate_sampling,
 )
@@ -63,7 +68,8 @@ class GhostPipeline:
     source_spec: SourceSpec
     detector_grid: Grid
     test_weights: np.ndarray  # v on the in-aperture pixels, shape (n_in,)
-    ref_matrix: np.ndarray  # K on the in-aperture pixels, shape (P, n_in)
+    ref_nodes: np.ndarray  # K from the in-aperture pixels to m nodes, shape (n_in, m)
+    ref_interp: np.ndarray  # real interpolation from the nodes, shape (m, P)
     reference: RealPattern
     sampling_notes: tuple[str, ...]
 
@@ -82,22 +88,25 @@ class GhostPipeline:
                 config.slit_width, config.slit_separation,
                 config.wavelength, config.d2, det,
             )
-        to_object = fresnel_kernel(source, obj, config.d1, config.wavelength)
-        to_detector = fresnel_kernel(source, det, config.d, config.wavelength)
-        k2 = point_weights(obj, 0.0, config.d2, config.wavelength)
-        inside = spec.aperture_indices
-        v = ((k2 * mask.samples) @ to_object.matrix)[inside]
+        lam = config.wavelength
+        x = source.coords(0)[spec.aperture_indices]
+        # only the object pixels the point detector sees through the mask
+        seen = point_weights(obj, 0.0, config.d2, lam) * mask.samples
+        rows = np.flatnonzero(seen)
+        v = seen[rows] @ fresnel_matrix(x, obj.coords(0)[rows], config.d1, lam, source.pitch[0])
+        to_nodes, interp = chebyshev_factors(x, det.coords(0), config.d, lam, source.pitch[0])
         notes = tuple(
             f"{label}: {msg}"
-            for label, kern in (("test arm", to_object), ("reference arm", to_detector))
-            for msg in validate_sampling(kern)
+            for label, grid, z in (("test arm", obj, config.d1), ("reference arm", det, config.d))
+            for msg in validate_sampling(source, grid, z, lam)
         )
         return cls(
             config=config,
             source_spec=spec,
             detector_grid=det,
             test_weights=v,
-            ref_matrix=to_detector.matrix[:, inside],
+            ref_nodes=to_nodes.T,
+            ref_interp=interp.T,
             reference=reference,
             sampling_notes=notes,
         )
@@ -115,8 +124,11 @@ class GhostPipeline:
         )
         a1 = block @ self.test_weights
         i1 = a1.real * a1.real + a1.imag * a1.imag
-        a2 = block @ self.ref_matrix.T
-        i2 = a2.real * a2.real + a2.imag * a2.imag
+        z = block @ self.ref_nodes
+        # the real and imaginary parts stacked, (2B, m), through one real GEMM
+        a2 = np.concatenate((z.real, z.imag)) @ self.ref_interp
+        re, im = a2[: len(z)], a2[len(z):]
+        i2 = re * re + im * im
         return i1, i2
 
     def run_realization(self, realization_index: int) -> tuple[float, RealPattern]:
@@ -131,15 +143,22 @@ class GhostPipeline:
         |2 sigma2 * sum_p v_p conj(K[q,p])|^2 over in-aperture pixels p, so
         the Monte Carlo limit is available in closed form for calibration.
         """
-        gamma = (2.0 * self.config.sigma2) * (self.ref_matrix.conj() @ self.test_weights)
+        at_nodes = self.ref_nodes.conj().T @ self.test_weights
+        gamma = (2.0 * self.config.sigma2) * (at_nodes @ self.ref_interp)
         return RealPattern(self.detector_grid, gamma.real**2 + gamma.imag**2)
 
     def asymptotic_means(self) -> tuple[float, np.ndarray]:
-        """Exact infinite-N mean intensities (scalar arm, reference arm)."""
-        scale = 2.0 * self.config.sigma2
+        """Exact infinite-N mean intensities (scalar arm, reference arm).
+
+        Every entry of K has modulus pitch / sqrt(lambda d), so the reference
+        arm's mean is flat: 2 sigma2 * n_in * pitch^2 / (lambda d) per pixel.
+        """
+        cfg = self.config
+        scale = 2.0 * cfg.sigma2
         m1 = scale * float(np.sum(np.abs(self.test_weights) ** 2))
-        m2 = scale * np.sum(np.abs(self.ref_matrix) ** 2, axis=1)
-        return m1, m2
+        n_in = len(self.test_weights)
+        m2 = scale * n_in * cfg.source_pitch**2 / (cfg.wavelength * cfg.d)
+        return m1, np.full(self.detector_grid.npoints, m2)
 
 
 def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:

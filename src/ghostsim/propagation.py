@@ -13,6 +13,7 @@ other output sampling are rejected rather than silently regridded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,63 @@ class PropagationKernel:
         return out[0] if single else out
 
 
+def fresnel_matrix(
+    x: np.ndarray, y: np.ndarray, distance: float, wavelength: float, dx: float
+) -> np.ndarray:
+    """The 1D direct-form matrix from samples at x (spacing dx) to points y.
+
+    Entry [q, p] is exp(j k z) / sqrt(j lambda z) * dx * exp(j k (y_q - x_p)^2 / (2 z)),
+    shape (len(y), len(x)).  Any subset of the coordinates gives the matching
+    submatrix of the full grid's matrix, bit for bit.
+    """
+    k = 2.0 * np.pi / wavelength
+    pref = np.exp(1j * k * distance) / np.sqrt(1j * wavelength * distance)
+    # Built in place, so the peak memory is one matrix, not three.  The
+    # factor stays the first operand: numpy's complex multiply is not
+    # bitwise symmetric, and the order fixes the last bit of every entry.
+    matrix = (1j * k / (2.0 * distance)) * (y[:, None] - x[None, :]) ** 2
+    np.exp(matrix, out=matrix)
+    np.multiply(pref * dx, matrix, out=matrix)
+    return matrix
+
+
+def chebyshev_factors(
+    x: np.ndarray, y: np.ndarray, distance: float, wavelength: float, dx: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fresnel_matrix(x, y, ...)`` factored as ``interp @ to_nodes``.
+
+    Along y each column is a chirp.  With y mapped onto [-1, 1] (Y the
+    half-span of y), its phase changes by at most
+    omega = 2 pi / (lambda z) * (max|x - y_mid| + Y) * Y radians per unit,
+    and its Chebyshev coefficients fall like (omega/2)^n / n!.  The node
+    count m is the smallest integer above omega with (omega/2)^m / m! <= 1e-17;
+    m Chebyshev points of the second kind then carry every column to about
+    1e-13 of the largest entry.  m follows from the geometry alone.
+
+    to_nodes = fresnel_matrix(x, nodes, ...) has shape (m, len(x)); interp,
+    shape (len(y), m), is the real barycentric interpolation from the nodes
+    to y (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
+    """
+    mid = (y.max() + y.min()) / 2.0
+    half = (y.max() - y.min()) / 2.0
+    omega = 2.0 * np.pi / (wavelength * distance) * (np.max(np.abs(x - mid)) + half) * half
+    m = max(2, math.floor(omega) + 1)
+    while m * math.log(omega / 2.0) - math.lgamma(m + 1) > math.log(1e-17):
+        m += 1
+    nodes = mid + half * np.cos(np.pi * np.arange(m) / (m - 1))
+    weights = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    offset = y[:, None] - nodes[None, :]
+    # a point on a node (the span's ends, at least) takes that node's value
+    hit = offset == 0.0
+    offset[hit] = 1.0
+    interp = weights / offset
+    interp /= interp.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    interp[rows] = hit[rows]
+    return fresnel_matrix(x, nodes, distance, wavelength, dx), interp
+
+
 def fresnel_kernel(
     grid_in: Grid, grid_out: Grid, distance: float, wavelength: float
 ) -> PropagationKernel:
@@ -88,15 +146,9 @@ def fresnel_kernel(
     k = 2.0 * np.pi / wavelength
 
     if grid_in.ndim == 1:
-        x = grid_in.coords(0)[None, :]
-        y = grid_out.coords(0)[:, None]
-        pref = np.exp(1j * k * distance) / np.sqrt(1j * wavelength * distance)
-        # Built in place, so the peak memory is one matrix, not three.  The
-        # factor stays the first operand: numpy's complex multiply is not
-        # bitwise symmetric, and the order fixes the last bit of every entry.
-        matrix = (1j * k / (2.0 * distance)) * (y - x) ** 2
-        np.exp(matrix, out=matrix)
-        np.multiply(pref * grid_in.pitch[0], matrix, out=matrix)
+        matrix = fresnel_matrix(
+            grid_in.coords(0), grid_out.coords(0), distance, wavelength, grid_in.pitch[0]
+        )
         return PropagationKernel(grid_in, grid_out, distance, wavelength, "direct", _matrix=matrix)
 
     if grid_out.shape != grid_in.shape:
@@ -155,13 +207,10 @@ def point_weights(
 ) -> np.ndarray:
     """Quadrature weights w with sum(w * E) = field propagated to one point."""
     _check_geometry(distance, wavelength)
-    k = 2.0 * np.pi / wavelength
     if grid.ndim == 1:
-        x = grid.coords(0)
-        pref = np.exp(1j * k * distance) / np.sqrt(1j * wavelength * distance)
-        return (pref * grid.pitch[0]) * np.exp(
-            (1j * k / (2.0 * distance)) * (float(point) - x) ** 2
-        )
+        point = np.array([float(point)])
+        return fresnel_matrix(grid.coords(0), point, distance, wavelength, grid.pitch[0])[0]
+    k = 2.0 * np.pi / wavelength
     px, py = point
     r2 = (px - grid.coords(0)[:, None]) ** 2 + (py - grid.coords(1)[None, :]) ** 2
     pref = (
@@ -179,23 +228,26 @@ def propagate_to_point(field_in: ComplexField, point, distance: float) -> comple
     return complex(np.dot(w.ravel(), field_in.samples.ravel()))
 
 
-def validate_sampling(kernel: PropagationKernel) -> list[str]:
-    """Aliasing and paraxial checks; returns human-readable warnings (empty if clean).
+def validate_sampling(
+    grid_in: Grid, grid_out: Grid, distance: float, wavelength: float
+) -> list[str]:
+    """Aliasing and paraxial checks of the propagator that ``fresnel_kernel``
+    builds for this geometry; returns human-readable warnings (empty if clean).
 
-    For the direct form the chirp argument spans input-to-output offsets, so
-    the phase step between adjacent input samples is bounded with
+    For the direct form (1D) the chirp argument spans input-to-output offsets,
+    so the phase step between adjacent input samples is bounded with
     W = half input extent + half output extent + |origin shift|.  For the fft
-    form only the input chirp is sampled, so W = half input extent.
+    form (2D) only the input chirp is sampled, so W = half input extent.
     """
     out: list[str] = []
-    k = 2.0 * np.pi / kernel.wavelength
-    z = kernel.distance
-    for a in range(kernel.grid_in.ndim):
-        half_in = kernel.grid_in.extent(a) / 2.0
-        half_out = kernel.grid_out.extent(a) / 2.0
-        shift = abs(kernel.grid_out.origin[a] - kernel.grid_in.origin[a])
-        w = half_in if kernel.form == "fft" else half_in + half_out + shift
-        step = k * kernel.grid_in.pitch[a] * w / z
+    k = 2.0 * np.pi / wavelength
+    z = distance
+    for a in range(grid_in.ndim):
+        half_in = grid_in.extent(a) / 2.0
+        half_out = grid_out.extent(a) / 2.0
+        shift = abs(grid_out.origin[a] - grid_in.origin[a])
+        w = half_in if grid_in.ndim == 2 else half_in + half_out + shift
+        step = k * grid_in.pitch[a] * w / z
         if step > np.pi:
             out.append(
                 f"chirp undersampled on axis {a}: edge phase step {step:.3g} rad > pi"

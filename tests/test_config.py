@@ -121,18 +121,22 @@ def test_config_from_values_window_rules():
 
 
 def test_dump_config_round_trips(tmp_path):
-    cfg = ExperimentConfig(
-        phi=2.5e-3,
-        phi_list=(1e-3, 2e-3),
-        window=(30, 220),
-        n_max=5000,
-        write_records=False,
-        mask_file="m.txt",
-        seed=11,
-    )
-    path = tmp_path / "exp.cfg"
-    path.write_text(dump_config(cfg))
-    assert load_config(path) == cfg
+    # tuple fields given as lists in Python are held as tuples
+    for seq in (tuple, list):
+        cfg = ExperimentConfig(
+            phi=2.5e-3,
+            phi_list=seq((1e-3, 2e-3)),
+            schedule=seq((200, 500)),
+            window=seq((30, 220)),
+            n_max=5000,
+            write_records=False,
+            mask_file="m.txt",
+            seed=11,
+        )
+        path = tmp_path / "exp.cfg"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
+        assert hash(cfg) == hash(load_config(path))
 
 
 def test_every_field_is_a_key_that_parses_back_from_dump():

@@ -68,7 +68,9 @@ def test_collapsed_pipeline_matches_stepwise_chain():
 def test_batch_intensities_match_columnwise_construction():
     # The batch (128, 200) is cut short by the checkpoint at 200.  The
     # reference is built column by column from single draws, pruned to the
-    # aperture pixels, through the same two GEMMs.
+    # aperture pixels, through the same GEMV and the reference arm's two
+    # factors: complex to the nodes, then one real GEMM from the nodes on
+    # the stacked real and imaginary parts.
     cfg = small_config()
     pipe = GhostPipeline.from_config(cfg)
     a, b = batch_bounds(500, cfg.schedule, cfg.batch)[1]
@@ -76,20 +78,57 @@ def test_batch_intensities_match_columnwise_construction():
     index_base = 3 << 40
     inside = pipe.source_spec.aperture_indices
     assert pipe.test_weights.shape == inside.shape
-    assert pipe.ref_matrix.shape == (cfg.detector_points, inside.size)
+    m = pipe.ref_nodes.shape[1]
+    assert pipe.ref_nodes.shape == (inside.size, m)
+    assert pipe.ref_interp.shape == (m, cfg.detector_points)
+    assert pipe.ref_interp.dtype == np.float64
     fields = np.zeros((b - a, inside.size), dtype=np.complex128)
     for j in range(b - a):
         stream = RngStream(cfg.seed, index_base + a + j)
         fields[j] = draw_source_samples(pipe.source_spec, stream)[inside]
     a1 = fields @ pipe.test_weights
     want_i1 = a1.real * a1.real + a1.imag * a1.imag
-    a2 = fields @ pipe.ref_matrix.T
-    want_i2 = a2.real * a2.real + a2.imag * a2.imag
+    z = fields @ pipe.ref_nodes
+    parts = np.concatenate((z.real, z.imag)) @ pipe.ref_interp
+    re, im = parts[: b - a], parts[b - a :]
+    want_i2 = re * re + im * im
 
     i1, i2 = pipe.batch_intensities(a, b, index_base)
     assert np.array_equal(i1, want_i1)
     assert np.array_equal(i2, want_i2)
     assert i2.flags.c_contiguous
+
+
+KAPPA_UNIT = 3.04e-4  # wavelength * d1 / slit_width at the defaults
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(),
+        *(ExperimentConfig(source_pitch=10e-6, phi=k * KAPPA_UNIT) for k in (4, 8, 12, 16)),
+        ExperimentConfig(phi=2.5 * KAPPA_UNIT),
+        small_config(),
+        ExperimentConfig(d=0.150, allow_geometry_mismatch=True),
+    ],
+    ids=["default", "kappa4", "kappa8", "kappa12", "kappa16", "kappa2.5", "small", "mismatch"],
+)
+def test_reference_factors_match_the_dense_kernel(cfg):
+    pipe = GhostPipeline.from_config(cfg)
+    inside = pipe.source_spec.aperture_indices
+    dense = fresnel_kernel(cfg.source_grid(), cfg.detector_grid(), cfg.d, cfg.wavelength)
+    k = dense.matrix[:, inside]
+    lg = (pipe.ref_nodes @ pipe.ref_interp).T
+    assert np.max(np.abs(lg - k)) <= 1e-12 * np.max(np.abs(k))
+    assert pipe.ref_nodes.shape[1] < cfg.detector_points
+
+    _, m2 = pipe.asymptotic_means()
+    want_m2 = 2.0 * cfg.sigma2 * np.sum(np.abs(k) ** 2, axis=1)
+    np.testing.assert_allclose(m2, want_m2, rtol=1e-12, atol=0.0)
+    gamma = 2.0 * cfg.sigma2 * (k.conj() @ pipe.test_weights)
+    want = gamma.real**2 + gamma.imag**2
+    got = pipe.asymptotic_pattern().samples
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
 
 def test_run_realization_deterministic_across_calls():

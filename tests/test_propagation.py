@@ -52,7 +52,7 @@ def test_gaussian_beam_matches_closed_form(w0, z):
     wz = beam_radius(z, w0)
     grid_out = make_grid(1, 256, 5.0 * wz / 256)
     kern = fresnel_kernel(field.grid, grid_out, z, LAM)
-    assert validate_sampling(kern) == []
+    assert validate_sampling(field.grid, grid_out, z, LAM) == []
     got = propagate(field, kern).samples
     want = gaussian_closed_form(grid_out.coords(0), z, w0)
     assert np.max(np.abs(got - want)) < 0.01 * np.max(np.abs(want))
@@ -210,7 +210,7 @@ def test_fft_gaussian_beam_2d():
     field = ComplexField(grid_in, np.exp(-(x**2 + y**2) / w0**2), LAM)
     grid_out = fft_output_grid(grid_in, z, LAM)
     kern = fresnel_kernel(grid_in, grid_out, z, LAM)
-    assert validate_sampling(kern) == []
+    assert validate_sampling(grid_in, grid_out, z, LAM) == []
     out = propagate(field, kern)
     wz = beam_radius(z, w0)
     u = grid_out.coords(0)[:, None]
@@ -240,15 +240,15 @@ def test_default_experiment_kernels_sample_cleanly():
     source = make_grid(1, 512, 4e-6)
     obj = make_grid(1, 561, 0.75e-6)
     det = make_grid(1, 256, 1.557e-6)
-    assert validate_sampling(fresnel_kernel(source, obj, 0.060, LAM)) == []
-    assert validate_sampling(fresnel_kernel(source, det, 0.135, LAM)) == []
+    assert validate_sampling(source, obj, 0.060, LAM) == []
+    assert validate_sampling(source, det, 0.135, LAM) == []
 
 
 def test_validate_sampling_flags_bad_geometry():
     coarse = make_grid(1, 64, 40e-6)
     wide = make_grid(1, 64, 40e-6)
-    msgs = validate_sampling(fresnel_kernel(coarse, wide, 0.005, LAM))
+    msgs = validate_sampling(coarse, wide, 0.005, LAM)
     assert any("chirp" in m for m in msgs)
     near = make_grid(1, 512, 10e-6)
-    msgs = validate_sampling(fresnel_kernel(near, near, 0.01, LAM))
+    msgs = validate_sampling(near, near, 0.01, LAM)
     assert any("paraxial" in m for m in msgs)
