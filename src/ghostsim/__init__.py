@@ -39,7 +39,6 @@ from .errors import (
     InsufficientSamplesError,
     NoPeakError,
     RecordFormatError,
-    SamplingError,
 )
 from .experiments import (
     ConvergenceResult,
@@ -74,6 +73,7 @@ from .objects import (
 )
 from .propagation import (
     PropagationKernel,
+    fft_chirp,
     fft_output_grid,
     fft_output_pitch,
     fresnel_kernel,

@@ -259,8 +259,10 @@ def _cmd_replay(args, config: ExperimentConfig, out: Path):
 
 def _cmd_sweep(args, config: ExperimentConfig, out: Path):
     points = run_kappa_sweep(config)
+    notes = [f"phi={p.phi:.6g} m: {note}" for p in points for note in p.sampling_notes]
+    _warn_notes(notes)
     write_kappa_csv(out / "kappa.csv", points)
-    write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"])
+    write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"], notes)
     for p in points:
         at = p.search.crossing
         status = f"N*={p.search.n_star}" if p.search.reached else "not reached"

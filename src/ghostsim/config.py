@@ -66,7 +66,6 @@ class ExperimentConfig:
     speckle_pitch: float = 40e-6
     speckle_phi_list: tuple[float, ...] = (2.5e-3, 1.25e-3, 0.625e-3, 0.3125e-3)
     speckle_n: int = 20000
-    speckle_distance: float = 0.060
 
     def __post_init__(self):
         for name in _TUPLES:

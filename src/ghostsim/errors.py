@@ -9,10 +9,6 @@ class GridMismatchError(ValueError):
     """Two objects that must share a sampling grid do not."""
 
 
-class SamplingError(ValueError):
-    """A propagation request conflicts with the kernel's forced output sampling."""
-
-
 class InsufficientSamplesError(ValueError):
     """An estimate was requested from fewer than two realizations."""
 

@@ -48,12 +48,13 @@ from .grids import Grid
 from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
 from .propagation import (
     chebyshev_factors,
+    fft_chirp,
     fft_output_grid,
-    fresnel_kernel,
     fresnel_matrix,
     point_weights,
     validate_sampling,
 )
+from .propagation import fresnel_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .records import RecordHeader, RecordWriter, open_records
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
@@ -272,6 +273,7 @@ class KappaPoint:
     phi: float
     kappa: float
     search: ThresholdSearch
+    sampling_notes: tuple[str, ...]  # the notes of this aperture's pipeline
 
 
 def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
@@ -301,7 +303,8 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
         cfg = pipe.config
         l_c = coherence_length(cfg.wavelength, cfg.d1, cfg.phi)
         search = run_threshold(cfg, index_base=i * _STREAM_STRIDE, pipeline=pipe)
-        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search))
+        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search,
+                              sampling_notes=pipe.sampling_notes))
     return out
 
 
@@ -337,20 +340,23 @@ def _axis_cut(map2d: RealPattern, ref_index: tuple[int, int], axis: int, half: i
 
 
 def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
-    """Instantaneous speckle and coherence maps at the speckle-plane distance.
+    """Instantaneous speckle and coherence maps at the object plane (distance d1).
 
     For each aperture: N realizations are propagated on the 2D grid, the
     scalar channel is the intensity at the pixel nearest the axis, and the
     normalized covariance against that pixel estimates the squared coherence
-    factor, whose width is compared to wavelength * distance / aperture.
+    factor, whose width is compared to wavelength * d1 / aperture.  Only
+    intensities are needed, so each batch is the compact in-aperture block
+    times its entries of ``fft_chirp``, scattered onto the grid, through one
+    ``fft2`` and |.|^2.
     """
     grid_in = config.speckle_grid()
-    # refuse a too-wide aperture before any field is drawn
+    # refuse a too-wide or empty aperture before any field is drawn
     specs = [SourceSpec(grid_in, phi, config.sigma2) for phi in config.speckle_phi_list]
     lam = config.wavelength
-    z = config.speckle_distance
+    z = config.d1
     grid_out = fft_output_grid(grid_in, z, lam)
-    kern = fresnel_kernel(grid_in, grid_out, z, lam)
+    chirp = fft_chirp(grid_in, z, lam).ravel()
     ref_index = (grid_out.index_of(0.0, 0), grid_out.index_of(0.0, 1))
     m = config.speckle_points
     per_batch = max(1, 4_194_304 // (m * m))
@@ -358,16 +364,18 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     out: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         index_base = k * _STREAM_STRIDE
+        inside = spec.aperture_indices
+        weights = chirp[inside]
         snapshot: RealPattern | None = None
 
         def batches():
             nonlocal snapshot
             for a, b in bounds:
+                block = draw_source_block(spec, config.seed, index_base + a, b - a)
+                block *= weights
                 fields = np.zeros((b - a, m * m), dtype=np.complex128)
-                fields[:, spec.aperture_indices] = draw_source_block(
-                    spec, config.seed, index_base + a, b - a
-                )
-                amps = kern.apply(fields.reshape(b - a, m, m))
+                fields[:, inside] = block
+                amps = np.fft.fft2(fields.reshape(b - a, m, m))
                 i2 = amps.real * amps.real + amps.imag * amps.imag
                 if snapshot is None:
                     snapshot = RealPattern(grid_out, i2[0].copy())

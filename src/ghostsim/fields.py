@@ -110,6 +110,8 @@ class SourceSpec:
                     f"aperture {self.aperture} exceeds grid extent "
                     f"{self.grid.extent(axis)} on axis {axis}"
                 )
+        if self.aperture_indices.size == 0:
+            raise GeometryError(f"aperture {self.aperture} holds no sample of the grid")
 
     def aperture_mask(self) -> np.ndarray:
         half = self.aperture / 2.0

@@ -5,10 +5,10 @@ Amplitude convention: the 1D point response is
     h(x, y) = exp(j k z) / sqrt(j lambda z) * exp(j k (y - x)^2 / (2 z))
 
 with 1/sqrt(j lambda z) per transverse dimension, so a 1D quadrature matrix
-entry has modulus dx / sqrt(lambda z).  The 2D one-step FFT form carries the
-full exp(j k z) / (j lambda z) prefactor and dx*dy quadrature weight, and its
-output pitch is forced to lambda * z / (M * dx) per axis; requests for any
-other output sampling are rejected rather than silently regridded.
+entry has modulus dx / sqrt(lambda z).  2D propagation is intensity only:
+``fft_chirp`` is the input factor for which |fft2(E * chirp)|^2 is the
+propagated intensity, on the output grid ``fft_output_grid`` whose pitch is
+forced to lambda * z / (M * dx) per axis.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, SamplingError
+from .errors import GridMismatchError
 from .fields import ComplexField
 from .grids import Grid, make_grid
 
@@ -45,38 +45,17 @@ def fft_output_grid(grid_in: Grid, distance: float, wavelength: float) -> Grid:
 
 @dataclass(eq=False)
 class PropagationKernel:
-    """Precomputed Fresnel propagator from grid_in to grid_out at one distance."""
+    """Precomputed 1D Fresnel propagator from grid_in to grid_out at one distance."""
 
     grid_in: Grid
     grid_out: Grid
     distance: float
     wavelength: float
-    form: str
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _pre: np.ndarray | None = field(default=None, repr=False)
-    _post: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The explicit quadrature matrix (direct form only)."""
-        if self._matrix is None:
-            raise ValueError("fft-form kernels carry no explicit matrix")
-        return self._matrix
+    matrix: np.ndarray = field(repr=False)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Propagate raw samples; accepts one realization or a batch.
-
-        direct form: (M,) or (M, B) arrays, batch in columns.
-        fft form: (M0, M1) or (B, M0, M1) arrays, batch leading.
-        """
-        if self.form == "direct":
-            return self._matrix @ samples
-        x = np.asarray(samples, dtype=np.complex128)
-        single = x.ndim == 2
-        if single:
-            x = x[None, :, :]
-        out = np.fft.fft2(x * self._pre, axes=(-2, -1)) * self._post
-        return out[0] if single else out
+        """Propagate raw samples: (M,) or (M, B) arrays, batch in columns."""
+        return self.matrix @ samples
 
 
 def fresnel_matrix(
@@ -139,58 +118,41 @@ def chebyshev_factors(
 def fresnel_kernel(
     grid_in: Grid, grid_out: Grid, distance: float, wavelength: float
 ) -> PropagationKernel:
-    """Build a propagator: the direct form between 1D grids, fft between 2D."""
+    """The direct-form propagator between 1D grids (2D grids: ``fft_chirp``)."""
     _check_geometry(distance, wavelength)
-    if grid_in.ndim != grid_out.ndim:
-        raise ValueError(f"input grid is {grid_in.ndim}D, output grid {grid_out.ndim}D")
+    if grid_in.ndim != 1 or grid_out.ndim != 1:
+        raise ValueError(
+            f"fresnel_kernel takes 1D grids, got {grid_in.ndim}D and {grid_out.ndim}D"
+        )
+    matrix = fresnel_matrix(
+        grid_in.coords(0), grid_out.coords(0), distance, wavelength, grid_in.pitch[0]
+    )
+    return PropagationKernel(grid_in, grid_out, distance, wavelength, matrix)
+
+
+def fft_chirp(grid_in: Grid, distance: float, wavelength: float) -> np.ndarray:
+    """The (M0, M1) input factor of 2D intensity propagation by one FFT.
+
+    |fft2(E * fft_chirp(...))|^2 is the Fresnel intensity on
+    ``fft_output_grid(grid_in, ...)``.  The factor is the input chirp
+    exp(j k x^2 / (2 z)), times the centered-DFT phase exp(j 2 pi c p / M)
+    with c = (M - 1) / 2, which puts the output grid's center on the axis,
+    times dx * dy / (lambda z), the modulus of the Fresnel prefactor.  The
+    output-side phases and the unit-modulus part of the prefactor drop out
+    of |.|^2.
+    """
+    _check_geometry(distance, wavelength)
+    if grid_in.ndim != 2:
+        raise ValueError(f"fft_chirp takes a 2D grid, got {grid_in.ndim}D")
     k = 2.0 * np.pi / wavelength
-
-    if grid_in.ndim == 1:
-        matrix = fresnel_matrix(
-            grid_in.coords(0), grid_out.coords(0), distance, wavelength, grid_in.pitch[0]
-        )
-        return PropagationKernel(grid_in, grid_out, distance, wavelength, "direct", _matrix=matrix)
-
-    if grid_out.shape != grid_in.shape:
-        raise SamplingError(
-            f"fft form output shape {grid_out.shape} must equal input shape {grid_in.shape}"
-        )
-    if any(o != 0.0 for o in grid_in.origin + grid_out.origin):
-        raise SamplingError("fft form requires both grids centered at the origin")
-    for a in range(2):
-        forced = fft_output_pitch(grid_in, distance, wavelength, a)
-        if abs(grid_out.pitch[a] - forced) > 1e-9 * forced:
-            raise SamplingError(
-                f"fft form forces output pitch {forced:.6e} on axis {a}, "
-                f"requested {grid_out.pitch[a]:.6e}"
-            )
-    # Separable centered-DFT phases: with c = (M-1)/2,
-    #   sum_p f(x_p) exp(-j 2 pi u_q x_p / (lambda z))
-    #     = e^{j 2 pi c q / M} e^{-j 2 pi c^2 / M} FFT[f(x_p) e^{j 2 pi c p / M}]_q
-    pre_ax, post_ax = [], []
+    axes = []
     for a in range(2):
         m = grid_in.shape[a]
         c = (m - 1) / 2.0
-        p = np.arange(m)
-        xa = grid_in.coords(a)
-        ua = grid_out.coords(a)
-        pre_ax.append(
-            np.exp((1j * k / (2.0 * distance)) * xa**2) * np.exp(2j * np.pi * c * p / m)
-        )
-        post_ax.append(
-            np.exp(2j * np.pi * c * p / m)
-            * np.exp(-2j * np.pi * c * c / m)
-            * np.exp((1j * k / (2.0 * distance)) * ua**2)
-        )
-    pref = (
-        np.exp(1j * k * distance)
-        / (1j * wavelength * distance)
-        * grid_in.pitch[0]
-        * grid_in.pitch[1]
-    )
-    pre = pre_ax[0][:, None] * pre_ax[1][None, :]
-    post = pref * post_ax[0][:, None] * post_ax[1][None, :]
-    return PropagationKernel(grid_in, grid_out, distance, wavelength, "fft", _pre=pre, _post=post)
+        phase = np.exp(2j * np.pi * c * np.arange(m) / m)
+        axes.append(np.exp((1j * k / (2.0 * distance)) * grid_in.coords(a) ** 2) * phase)
+    scale = grid_in.pitch[0] * grid_in.pitch[1] / (wavelength * distance)
+    return scale * axes[0][:, None] * axes[1][None, :]
 
 
 def propagate(field_in: ComplexField, kernel: PropagationKernel) -> ComplexField:
@@ -203,23 +165,14 @@ def propagate(field_in: ComplexField, kernel: PropagationKernel) -> ComplexField
 
 
 def point_weights(
-    grid: Grid, point, distance: float, wavelength: float
+    grid: Grid, point: float, distance: float, wavelength: float
 ) -> np.ndarray:
-    """Quadrature weights w with sum(w * E) = field propagated to one point."""
+    """Quadrature weights w with sum(w * E) = 1D field propagated to one point."""
     _check_geometry(distance, wavelength)
-    if grid.ndim == 1:
-        point = np.array([float(point)])
-        return fresnel_matrix(grid.coords(0), point, distance, wavelength, grid.pitch[0])[0]
-    k = 2.0 * np.pi / wavelength
-    px, py = point
-    r2 = (px - grid.coords(0)[:, None]) ** 2 + (py - grid.coords(1)[None, :]) ** 2
-    pref = (
-        np.exp(1j * k * distance)
-        / (1j * wavelength * distance)
-        * grid.pitch[0]
-        * grid.pitch[1]
-    )
-    return pref * np.exp((1j * k / (2.0 * distance)) * r2)
+    if grid.ndim != 1:
+        raise ValueError(f"point_weights takes a 1D grid, got {grid.ndim}D")
+    point = np.array([float(point)])
+    return fresnel_matrix(grid.coords(0), point, distance, wavelength, grid.pitch[0])[0]
 
 
 def propagate_to_point(field_in: ComplexField, point, distance: float) -> complex:
@@ -231,13 +184,14 @@ def propagate_to_point(field_in: ComplexField, point, distance: float) -> comple
 def validate_sampling(
     grid_in: Grid, grid_out: Grid, distance: float, wavelength: float
 ) -> list[str]:
-    """Aliasing and paraxial checks of the propagator that ``fresnel_kernel``
-    builds for this geometry; returns human-readable warnings (empty if clean).
+    """Aliasing and paraxial checks of propagation from grid_in to grid_out;
+    returns human-readable warnings (empty if clean).
 
-    For the direct form (1D) the chirp argument spans input-to-output offsets,
-    so the phase step between adjacent input samples is bounded with
-    W = half input extent + half output extent + |origin shift|.  For the fft
-    form (2D) only the input chirp is sampled, so W = half input extent.
+    For the 1D direct form (``fresnel_kernel``) the chirp argument spans
+    input-to-output offsets, so the phase step between adjacent input samples
+    is bounded with W = half input extent + half output extent + |origin
+    shift|.  For 2D grids (``fft_chirp``) only the input chirp is sampled, so
+    W = half input extent.
     """
     out: list[str] = []
     k = 2.0 * np.pi / wavelength

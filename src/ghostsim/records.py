@@ -28,7 +28,7 @@ files hold stream-v1 intensities and are still read.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,14 @@ assert HEADER_SIZE == 96
 
 @dataclass(frozen=True)
 class RecordHeader:
-    """File-level metadata identifying the run that produced the records."""
+    """File-level metadata identifying the run that produced the records.
+
+    The fields are in on-disk order, after the magic, version and pad bytes.
+    """
 
     n_records: int
     detector_points: int
+    batch: int | None  # None for version 1 files, which did not store it
     detector_pitch: float
     detector_origin: float
     wavelength: float
@@ -59,7 +63,6 @@ class RecordHeader:
     seed: int
     sigma2: float
     phi: float
-    batch: int | None  # None for version 1 files, which did not store it
 
     @property
     def version(self) -> int:
@@ -67,29 +70,19 @@ class RecordHeader:
         return 1 if self.batch is None else VERSION
 
     def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, VERSION, 0,
-            self.n_records, self.detector_points, self.batch,
-            self.detector_pitch, self.detector_origin, self.wavelength,
-            self.d1, self.d2, self.d,
-            self.seed, self.sigma2, self.phi,
-        )
+        return _HEADER.pack(MAGIC, VERSION, 0, *astuple(self))
 
     @classmethod
     def unpack(cls, blob: bytes) -> "RecordHeader":
         if len(blob) < HEADER_SIZE:
             raise RecordFormatError("file too short for a record header")
-        (magic, version, _pad, n, points, batch,
-         pitch, origin, lam, d1, d2, d, seed, sigma2, phi) = _HEADER.unpack(
-            blob[:HEADER_SIZE]
-        )
+        magic, version, _pad, *values = _HEADER.unpack(blob[:HEADER_SIZE])
         if magic != MAGIC:
             raise RecordFormatError(f"bad magic {magic!r}")
         if version not in _READABLE:
             raise RecordFormatError(f"unsupported record version {version}")
-        if version == 1:
-            batch = None
-        return cls(n, points, pitch, origin, lam, d1, d2, d, seed, sigma2, phi, batch)
+        header = cls(*values)
+        return replace(header, batch=None) if version == 1 else header
 
 
 class RecordWriter:

@@ -162,6 +162,7 @@ def test_sweep_kappa_csv_schema_and_arithmetic(tmp_path, capsys):
     assert main([
         "sweep-kappa", "--config", str(cfg), "--out-dir", str(out), "--tau", "1.0",
     ]) == 0
+    assert json.loads((out / "manifest.json").read_text())["sampling_notes"] == []
     cols, rows = read_csv(out / "kappa.csv")
     assert cols == ["phi_m", "kappa", "n_star", "reached", "eps_global",
                     "eps_low", "eps_high"]
@@ -172,6 +173,20 @@ def test_sweep_kappa_csv_schema_and_arithmetic(tmp_path, capsys):
         assert float(row[1]) == pytest.approx(105e-6 / l_c, rel=1e-12)
         assert row[2] == "200" and row[3] == "true"  # tau=1 crosses immediately
     assert "N*=200" in capsys.readouterr().out
+
+    # a 30 um source pitch undersamples the test arm's chirp at every aperture
+    coarse = tmp_path / "coarse.cfg"
+    coarse.write_text(SMALL.replace("source_pitch = 8e-6", "source_pitch = 30e-6")
+                      + "phi_list = 1.2e-3, 2.4e-3\n")
+    out = tmp_path / "coarse"
+    assert main([
+        "sweep-kappa", "--config", str(coarse), "--out-dir", str(out), "--tau", "1.0",
+    ]) == 0
+    notes = json.loads((out / "manifest.json").read_text())["sampling_notes"]
+    for phi in ("0.0012", "0.0024"):
+        assert f"phi={phi} m: test arm: chirp undersampled on axis 0" in " ".join(notes)
+    err = capsys.readouterr().err
+    assert all(f"warning: {note}" in err for note in notes)
 
 
 def test_sweep_kappa_unreachable_tau_leaves_n_star_empty(tmp_path):
@@ -330,6 +345,7 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["sweep-kappa", "--config", "nmax.cfg"],  # n_max below the first checkpoint
         ["converge", "--config", "narrow.cfg"],  # window too narrow for the bands
         ["converge", "--config", "nan.cfg"],  # sigma2 = nan
+        ["converge", "--config", "empty.cfg"],  # aperture holds no source pixel
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
@@ -342,6 +358,7 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     )
     (tmp_path / "narrow.cfg").write_text("window = 5, 6\n")
     (tmp_path / "nan.cfg").write_text("sigma2 = nan\n")
+    (tmp_path / "empty.cfg").write_text("phi = 1e-7\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

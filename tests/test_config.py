@@ -99,6 +99,7 @@ def test_parse_config_text_types_and_comments():
     "line, fragment",
     [
         ("bogus_key = 1", "unknown key"),
+        ("speckle_distance = 0.06", "unknown key"),  # the survey runs at d1
         ("seed 3", "expected 'key = value'"),
         ("seed = x", "bad value"),
         ("write_records = maybe", "bad value"),
@@ -150,7 +151,7 @@ def test_every_field_is_a_key_that_parses_back_from_dump():
         schedule=(10, 20), tau=0.1, n_max=15, window=(3, 100),
         workers=2, batch=64, write_records=False, allow_geometry_mismatch=True,
         speckle_points=64, speckle_pitch=30e-6, speckle_phi_list=(1e-3,),
-        speckle_n=50, speckle_distance=0.05,
+        speckle_n=50,
     )
     default = ExperimentConfig()
     for f in dataclasses.fields(ExperimentConfig):

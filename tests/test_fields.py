@@ -180,6 +180,8 @@ def test_source_spec_validation():
         SourceSpec(grid, aperture=-1e-6)
     with pytest.raises(ValueError):
         SourceSpec(grid, aperture=10e-6, sigma2=0.0)
+    with pytest.raises(GeometryError, match="holds no sample"):
+        SourceSpec(grid, aperture=0.5e-6)  # between the two central samples
     with pytest.raises(ValueError):
         RngStream(0, -1)
 
