@@ -81,6 +81,6 @@ from .propagation import (
     propagate_to_point,
     validate_sampling,
 )
-from .records import RecordHeader, RecordWriter, open_records
+from .records import RecordHeader, RecordWriter, open_records, read_batches
 
 __version__ = "0.1.0"

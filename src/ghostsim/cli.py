@@ -257,9 +257,13 @@ def _cmd_replay(args, config: ExperimentConfig, out: Path):
     return result, outputs + [out / "manifest.json"]
 
 
+def _sweep_notes(points) -> list[str]:
+    return [f"phi={p.phi:.6g} m: {note}" for p in points for note in p.sampling_notes]
+
+
 def _cmd_sweep(args, config: ExperimentConfig, out: Path):
     points = run_kappa_sweep(config)
-    notes = [f"phi={p.phi:.6g} m: {note}" for p in points for note in p.sampling_notes]
+    notes = _sweep_notes(points)
     _warn_notes(notes)
     write_kappa_csv(out / "kappa.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"], notes)
@@ -296,16 +300,17 @@ _COMMANDS = {
     "speckle": _cmd_speckle,
 }
 
-# The commands that take a seed list, with the file of medians over the seeds.
+# The commands that take a seed list, with the file of medians over the seeds
+# and the sampling notes of a run's result (they do not depend on the seed).
 _MEDIANS = {
-    "converge": ("curve_median.csv", write_curve_median_csv),
-    "sweep-kappa": ("kappa_median.csv", write_kappa_median_csv),
+    "converge": ("curve_median.csv", write_curve_median_csv, lambda r: r.sampling_notes),
+    "sweep-kappa": ("kappa_median.csv", write_kappa_median_csv, _sweep_notes),
 }
 
 
 def _run_seeds(args, configs: list[ExperimentConfig], out: Path) -> None:
     """One run per seed into ``seed<s>/``, then the medians and a manifest."""
-    name, write_median = _MEDIANS[args.command]
+    name, write_median, notes_of = _MEDIANS[args.command]
     results, outputs = [], []
     for config in configs:
         sub = out / f"seed{config.seed}"
@@ -317,7 +322,7 @@ def _run_seeds(args, configs: list[ExperimentConfig], out: Path) -> None:
     write_median(out / name, results)
     outputs.append(out / name)
     write_manifest(out / "manifest.json", args.command, configs[0], outputs,
-                   seeds=[c.seed for c in configs])
+                   notes_of(results[0]), seeds=[c.seed for c in configs])
     print(f"wrote {name} over {len(configs)} seeds to {out}")
 
 

@@ -69,19 +69,22 @@ class CorrelationAccumulator:
 
         Equivalent to updating realization by realization up to float
         rounding; the batch is reduced with fixed-shape numpy sums, then the
-        three batch totals enter the compensated accumulators.
+        three batch totals enter the compensated accumulators.  The batch is
+        checked in the same pass: a minimum below zero (or NaN) catches
+        negative, NaN and -inf intensities, and a sum that is not finite
+        catches +inf.  A rejected batch leaves the sums untouched.
         """
         i1 = np.asarray(i1, dtype=np.float64)
         i2 = np.asarray(i2, dtype=np.float64)
         if i2.shape != (i1.shape[0],) + self.grid.shape:
             raise GridMismatchError("batch shapes do not match accumulator grid")
-        _check_batch(i1, i2)
-        self._add(
-            float(i1.sum()),
-            i2.sum(axis=0),
-            np.tensordot(i1, i2, axes=(0, 0)),
-            i1.shape[0],
-        )
+        ok = i1.min(initial=0.0) >= 0.0 and i2.min(initial=0.0) >= 0.0
+        s1 = float(i1.sum())
+        s2 = i2.sum(axis=0)
+        if not (ok and np.isfinite(s1) and np.isfinite(s2).all()):
+            _check_batch(i1, i2)  # raises naming the bad value, if there is one
+            raise ValueError("batch sums overflow")
+        self._add(s1, s2, np.tensordot(i1, i2, axes=(0, 0)), i1.shape[0])
 
     def copy(self) -> "CorrelationAccumulator":
         out = CorrelationAccumulator(self.grid)

@@ -55,7 +55,7 @@ from .propagation import (
     validate_sampling,
 )
 from .propagation import fresnel_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .records import RecordHeader, RecordWriter, open_records
+from .records import RecordHeader, RecordWriter, open_records, read_batches
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -199,12 +199,6 @@ def _live_batches(pipeline: GhostPipeline, bounds, index_base: int,
         if record_writer is not None:
             record_writer.append(i1, i2)
         yield i1, i2
-
-
-def _record_batches(body: np.ndarray, bounds):
-    for a, b in bounds:
-        block = np.asarray(body[a:b])
-        yield np.ascontiguousarray(block[:, 0]), np.ascontiguousarray(block[:, 1:])
 
 
 def iter_checkpoints(
@@ -366,6 +360,9 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         index_base = k * _STREAM_STRIDE
         inside = spec.aperture_indices
         weights = chirp[inside]
+        # sized by the first, longest batch; only the in-aperture columns are
+        # written, so the zeros outside them hold from one batch to the next
+        fields = np.zeros((bounds[0][1], m * m), dtype=np.complex128)
         snapshot: RealPattern | None = None
 
         def batches():
@@ -373,9 +370,8 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
             for a, b in bounds:
                 block = draw_source_block(spec, config.seed, index_base + a, b - a)
                 block *= weights
-                fields = np.zeros((b - a, m * m), dtype=np.complex128)
-                fields[:, inside] = block
-                amps = np.fft.fft2(fields.reshape(b - a, m, m))
+                fields[: b - a, inside] = block
+                amps = np.fft.fft2(fields[: b - a].reshape(b - a, m, m))
                 i2 = amps.real * amps.real + amps.imag * amps.imag
                 if snapshot is None:
                     snapshot = RealPattern(grid_out, i2[0].copy())
@@ -420,12 +416,13 @@ def record_header_for(config: ExperimentConfig) -> RecordHeader:
 def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult:
     """Recompute the convergence outputs from stored records, bitwise.
 
-    The stored intensities are folded with the same batch boundaries the live
-    run used, so every accumulator state, pattern and error matches the live
-    run to the last bit.  Version 1 files did not store the batch, so their
-    batch is not checked: they replay bitwise only under the live run's batch.
+    The stored intensities are streamed, one batch in memory at a time, and
+    folded with the same batch boundaries the live run used, so every
+    accumulator state, pattern and error matches the live run to the last
+    bit.  Version 1 files did not store the batch, so their batch is not
+    checked: they replay bitwise only under the live run's batch.
     """
-    header, body = open_records(records_path)
+    header, _ = open_records(records_path)
     expect = record_header_for(config)
     unchecked = {"n_records"} | ({"batch"} if header.batch is None else set())
     mismatched = [
@@ -443,8 +440,8 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
         )
     pipe = GhostPipeline.from_config(config)
     bounds = batch_bounds(total, config.schedule, config.batch)
+    batches = read_batches(records_path, header.detector_points, bounds)
     return _convergence_result(
-        pipe,
-        fold_checkpoints(pipe.detector_grid, _record_batches(body, bounds), config.schedule),
+        pipe, fold_checkpoints(pipe.detector_grid, batches, config.schedule),
         stream=header.version,
     )

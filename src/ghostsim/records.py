@@ -20,9 +20,12 @@ Layout (little endian):
           reference pattern pixels.
 
 Round-trips are bitwise: the body is raw IEEE-754, so replaying a file feeds
-the accumulator the exact numbers the live run produced.  Version 2 means the
-intensities come from source stream v2 (``fields.STREAM_VERSION``); version 1
-files hold stream-v1 intensities and are still read.
+the accumulator the exact numbers the live run produced.  Replay streams the
+body through ``read_batches``, one reused batch buffer, so its memory is one
+batch whatever the record count; ``open_records`` validates a file and maps
+its body for random access.  Version 2 means the intensities come from source
+stream v2 (``fields.STREAM_VERSION``); version 1 files hold stream-v1
+intensities and are still read.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import struct
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -124,8 +128,9 @@ class RecordWriter:
 def open_records(path) -> tuple[RecordHeader, np.ndarray]:
     """Header plus a read-only (n, 1 + P) view of the stored intensities.
 
-    The body is memory mapped, so multi-gigabyte files replay without being
-    loaded whole.  Size mismatches (truncation, stray bytes) are rejected.
+    The body is memory mapped for random access; pages touched stay resident,
+    so a full pass belongs to ``read_batches``.  Size mismatches (truncation,
+    stray bytes) are rejected.
     """
     path = Path(path)
     size = path.stat().st_size
@@ -143,3 +148,34 @@ def open_records(path) -> tuple[RecordHeader, np.ndarray]:
     body = np.memmap(path, dtype=np.float64, mode="r", offset=HEADER_SIZE,
                      shape=(header.n_records, row))
     return header, body
+
+
+def read_batches(path, detector_points: int,
+                 bounds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(i1, i2) for the records [a, b) of each of ``bounds``, read in order.
+
+    Each batch is read into one reused (rows, 1 + P) buffer and its columns
+    are copied into reused C-ordered i1 (B,) and i2 (B, P) buffers, the shapes
+    a live run folds, so memory stays at one batch.  The arrays are
+    overwritten by the next batch.  Records past the end of the body raise
+    ``RecordFormatError``.
+    """
+    bounds = list(bounds)
+    width = 1 + detector_points
+    rows = max((b - a for a, b in bounds), default=0)
+    block = np.empty((rows, width), dtype=np.float64)
+    i1 = np.empty(rows, dtype=np.float64)
+    i2 = np.empty((rows, detector_points), dtype=np.float64)
+    with open(path, "rb", buffering=0) as fh:
+        for a, b in bounds:
+            n = b - a
+            fh.seek(HEADER_SIZE + a * width * 8)
+            view = block[:n]
+            got = fh.readinto(view)
+            if got != view.nbytes:
+                raise RecordFormatError(
+                    f"records up to {b} asked, the body ends after {a + got // (width * 8)}"
+                )
+            np.copyto(i1[:n], view[:, 0])
+            np.copyto(i2[:n], view[:, 1:])
+            yield i1[:n], i2[:n]

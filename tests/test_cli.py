@@ -285,6 +285,21 @@ def test_two_seed_sweep_matches_single_seed_runs_and_writes_medians(tmp_path):
     assert "kappa_median.csv" in doc["outputs"] and "seed1/kappa.csv" in doc["outputs"]
 
 
+def test_two_seed_manifest_carries_the_sampling_notes(tmp_path):
+    # the 10 um source undersamples the test-arm chirp, so every run has notes
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("source_points = 512\nsource_pitch = 10e-6\n"
+                   "phi_list = 4e-4, 8e-4\nschedule = 200, 500\ntau = 0.9\n")
+    out = tmp_path / "multi"
+    assert main(["sweep-kappa", "--config", str(cfg), "--seed", "0,1",
+                 "--out-dir", str(out)]) == 0
+    top = json.loads((out / "manifest.json").read_text())["sampling_notes"]
+    assert top and all("chirp undersampled" in note for note in top)
+    for seed in (0, 1):
+        doc = json.loads((out / f"seed{seed}" / "manifest.json").read_text())
+        assert doc["sampling_notes"] == top
+
+
 @pytest.mark.parametrize("command", [["replay", "--records", "r.gidat"], ["speckle"]])
 def test_seed_list_is_refused_where_one_seed_is_fixed(tmp_path, command, capsys):
     out = tmp_path / "out"

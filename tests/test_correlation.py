@@ -53,8 +53,26 @@ def test_update_validation():
         acc.update(1.0, RealPattern(GRID2, np.array([1.0, -2.0])))
     with pytest.raises(GridMismatchError):
         acc.fold_batch(np.ones(4), np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("arm", ["i1", "i2"])
+def test_fold_batch_rejects_bad_values_and_keeps_sums(bad, arm):
+    acc = CorrelationAccumulator(GRID2)
+    acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    i1 = np.array([1.0, 2.0, 3.0])
+    i2 = np.ones((3, 2))
+    if arm == "i1":
+        i1[1] = bad
+    else:
+        i2[2, 1] = bad
     with pytest.raises(ValueError):
-        acc.fold_batch(np.array([1.0, -1.0]), np.ones((2, 2)))
+        acc.fold_batch(i1, i2)
+    assert acc.count == before[0]
+    assert acc.sum1 == before[1]
+    assert np.array_equal(acc.sum2, before[2])
+    assert np.array_equal(acc.sum12, before[3])
 
 
 positive = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)

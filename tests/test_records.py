@@ -10,6 +10,7 @@ from ghostsim.records import (
     RecordHeader,
     RecordWriter,
     open_records,
+    read_batches,
 )
 
 
@@ -135,3 +136,29 @@ def test_hand_packed_version1_file_still_opens(tmp_path):
     header, body = open_records(path)
     assert header == make_header(n=3, points=2, batch=None)
     assert np.array_equal(body, rows)
+
+
+def test_read_batches_equal_the_mapped_slices(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "r.gidat"
+    with RecordWriter(path, make_header()) as w:
+        w.append(rng.exponential(size=23), rng.exponential(size=(23, 8)))
+    header, body = open_records(path)
+    bounds = [(0, 10), (10, 20), (20, 23)]  # a short last batch
+    got = [(a.copy(), b.copy()) for a, b in read_batches(path, header.detector_points, bounds)]
+    assert len(got) == len(bounds)
+    for (a, b), (i1, i2) in zip(bounds, got):
+        assert i1.flags.c_contiguous and i2.flags.c_contiguous
+        assert i1.shape == (b - a,) and i2.shape == (b - a, 8)
+        assert np.array_equal(i1, body[a:b, 0])
+        assert np.array_equal(i2, body[a:b, 1:])
+
+
+def test_read_batches_past_the_body_raise(tmp_path):
+    path = tmp_path / "r.gidat"
+    with RecordWriter(path, make_header()) as w:
+        w.append(np.ones(5), np.ones((5, 8)))
+    batches = read_batches(path, 8, [(0, 4), (4, 8)])
+    next(batches)
+    with pytest.raises(RecordFormatError, match="ends after 5"):
+        next(batches)
