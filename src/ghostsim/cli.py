@@ -137,7 +137,7 @@ def write_manifest(path: Path, command: str, config: ExperimentConfig,
 
 # Flags that set the config key of the same name, parsed by that key's parser.
 _KEY_FLAGS = {
-    "workers": "ignored (runs fold in order on one thread)",
+    "workers": "ignored (one helper thread; the fold runs in order on the calling thread)",
     "tau": "convergence threshold",
     "schedule": "comma-separated checkpoint counts",
     "phi_list": "comma-separated apertures [m]",

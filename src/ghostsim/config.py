@@ -57,7 +57,7 @@ class ExperimentConfig:
     n_max: int | None = None
     window: tuple[int, int] | None = None
 
-    workers: int = 1  # validated but ignored: every run folds in order on one thread
+    workers: int = 1  # validated but ignored: every run folds in order on the calling thread
     batch: int = 256
     write_records: bool = True
     allow_geometry_mismatch: bool = False

@@ -19,11 +19,16 @@ Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
 and the batch size alone) are folded in index order into one accumulator on
 the calling thread, which is scored at each scheduled N.  Live runs, replay,
 threshold search and speckle differ only in where the batches come from.
+Live runs overlap two batches: one worker thread computes the intensities of
+batch k while the calling thread draws the source block of batch k + 1, then
+records, folds and scores batch k.  Nothing is drawn ahead past a checkpoint,
+and the numbers, and their order, do not change.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -115,21 +120,25 @@ class GhostPipeline:
     def batch_intensities(
         self, start: int, stop: int, index_base: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Intensity pairs for realization indices [start, stop).
+        """Intensity pairs for realization indices [start, stop)."""
+        return self.intensities(draw_source_block(
+            self.source_spec, self.config.seed, index_base + start, stop - start
+        ))
+
+    def intensities(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Intensity pairs of a ``draw_source_block`` block of B realizations.
 
         Returns i1 with shape (B,) and i2 with shape (B, P), both C-ordered;
         replaying the same numbers from disk folds bitwise identically.
         """
-        block = draw_source_block(
-            self.source_spec, self.config.seed, index_base + start, stop - start
-        )
         a1 = block @ self.test_weights
         i1 = a1.real * a1.real + a1.imag * a1.imag
         z = block @ self.ref_nodes
         # the real and imaginary parts stacked, (2B, m), through one real GEMM
         a2 = np.concatenate((z.real, z.imag)) @ self.ref_interp
-        re, im = a2[: len(z)], a2[len(z):]
-        i2 = re * re + im * im
+        # re*re + im*im, rounded as that expression, with one temporary fewer
+        np.multiply(a2, a2, out=a2)
+        i2 = np.add(a2[: len(z)], a2[len(z):])
         return i1, i2
 
     def run_realization(self, realization_index: int) -> tuple[float, RealPattern]:
@@ -188,17 +197,41 @@ def fold_checkpoints(
     acc = CorrelationAccumulator(grid)
     for i1, i2 in batches:
         acc.fold_batch(i1, i2)
+        del i1, i2  # so the next batch can reuse their memory
         if acc.count in marks:
             yield acc.count, acc.copy()
 
 
-def _live_batches(pipeline: GhostPipeline, bounds, index_base: int,
+def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
                   record_writer: RecordWriter | None):
-    for a, b in bounds:
-        i1, i2 = pipeline.batch_intensities(a, b, index_base)
-        if record_writer is not None:
-            record_writer.append(i1, i2)
-        yield i1, i2
+    """The intensity batches over ``bounds``, in order.
+
+    While one worker thread computes the intensities of batch k, the calling
+    thread draws the block of batch k + 1; it then records batch k and hands
+    it to the fold.  The draw, the longest stage, stays on the calling
+    thread, so the time the worker takes to wake is hidden behind it.  After
+    a batch that ends at a mark nothing is drawn ahead: the next block is
+    drawn when the fold pulls it, so a search that stops at a mark draws
+    nothing it does not fold.
+    """
+    spec, seed = pipeline.source_spec, pipeline.config.seed
+
+    def draw(a: int, b: int) -> np.ndarray:
+        return draw_source_block(spec, seed, index_base + a, b - a)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = None
+        for k, (a, b) in enumerate(bounds):
+            block = draw(a, b) if ahead is None else ahead
+            pending = worker.submit(pipeline.intensities, block)
+            ahead = None if b in marks else draw(*bounds[k + 1])
+            i1, i2 = pending.result()
+            # the Future holds the result too; drop it with the block
+            del pending, block
+            if record_writer is not None:
+                record_writer.append(i1, i2)
+            yield i1, i2
+            del i1, i2
 
 
 def iter_checkpoints(
@@ -211,7 +244,7 @@ def iter_checkpoints(
     """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint."""
     schedule = tuple(int(n) for n in schedule)
     bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
-    batches = _live_batches(pipeline, bounds, index_base, record_writer)
+    batches = _live_batches(pipeline, bounds, set(schedule), index_base, record_writer)
     return fold_checkpoints(pipeline.detector_grid, batches, schedule)
 
 
@@ -363,6 +396,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         # sized by the first, longest batch; only the in-aperture columns are
         # written, so the zeros outside them hold from one batch to the next
         fields = np.zeros((bounds[0][1], m * m), dtype=np.complex128)
+        power = np.empty((bounds[0][1], m, m))
         snapshot: RealPattern | None = None
 
         def batches():
@@ -372,7 +406,9 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
                 block *= weights
                 fields[: b - a, inside] = block
                 amps = np.fft.fft2(fields[: b - a].reshape(b - a, m, m))
-                i2 = amps.real * amps.real + amps.imag * amps.imag
+                # re*re + im*im, rounded as the plain expression, into one buffer
+                i2 = np.multiply(amps.real, amps.real, out=power[: b - a])
+                i2 += np.multiply(amps.imag, amps.imag, out=amps.imag)
                 if snapshot is None:
                     snapshot = RealPattern(grid_out, i2[0].copy())
                 yield np.ascontiguousarray(i2[:, ref_index[0], ref_index[1]]), i2

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,15 +207,15 @@ def test_iter_checkpoints_is_lazy():
 
 @pytest.fixture
 def drawn_stops(monkeypatch):
-    """The stop index of every batch the pipeline draws."""
+    """The stop index of every source block the pipeline draws."""
     stops = []
-    draw = GhostPipeline.batch_intensities
+    draw = experiments.draw_source_block
 
-    def counting(self, start, stop, index_base=0):
-        stops.append(stop)
-        return draw(self, start, stop, index_base)
+    def counting(spec, seed, first_index, count):
+        stops.append(first_index + count)
+        return draw(spec, seed, first_index, count)
 
-    monkeypatch.setattr(GhostPipeline, "batch_intensities", counting)
+    monkeypatch.setattr(experiments, "draw_source_block", counting)
     return stops
 
 
@@ -233,6 +235,92 @@ def test_run_threshold_cuts_the_schedule_at_n_max(drawn_stops):
     assert search.n_budget == 400
     assert [p.n for p in search.curve] == [200, 400]
     assert drawn_stops == [b for _, b in batch_bounds(400, cfg.schedule, cfg.batch)]
+
+
+def test_threshold_search_leaves_no_thread_behind():
+    before = threading.active_count()
+    search = run_threshold(small_config(schedule=(200, 400, 800, 1600), tau=1.0))
+    assert search.n_star == 200
+    assert threading.active_count() == before
+
+
+def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
+    # checkpoints that cut batches short: 0-128 | 128-200 | 200-256 | ... | 768-777
+    cfg = small_config(schedule=(200, 500, 777), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    bounds = batch_bounds(777, cfg.schedule, cfg.batch)
+    header = record_header_for(cfg)
+    with RecordWriter(tmp_path / "serial.gidat", header) as writer:
+        def serial():
+            for a, b in bounds:
+                i1, i2 = pipe.batch_intensities(a, b)
+                writer.append(i1, i2)
+                yield i1, i2
+
+        want = experiments._convergence_result(
+            pipe, experiments.fold_checkpoints(pipe.detector_grid, serial(), cfg.schedule)
+        )
+
+    drawn = []
+    draw = experiments.draw_source_block
+
+    def spying(spec, seed, first_index, count):
+        drawn.append((first_index, threading.get_ident()))
+        return draw(spec, seed, first_index, count)
+
+    computed_on = []
+    intensities = GhostPipeline.intensities
+
+    def spying_intensities(self, block):
+        computed_on.append(threading.get_ident())
+        return intensities(self, block)
+
+    monkeypatch.setattr(experiments, "draw_source_block", spying)
+    monkeypatch.setattr(GhostPipeline, "intensities", spying_intensities)
+    with RecordWriter(tmp_path / "live.gidat", header) as writer:
+        got = run_converge(cfg, record_writer=writer, pipeline=pipe)
+
+    assert got.curve == want.curve
+    assert [n for n, _ in got.snapshots] == [n for n, _ in want.snapshots]
+    for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.samples, b.samples)
+    live = (tmp_path / "live.gidat").read_bytes()
+    assert live == (tmp_path / "serial.gidat").read_bytes()
+    # every block is drawn once, in order, on the calling thread, and every
+    # batch is computed on the one worker thread
+    assert drawn == [(a, threading.get_ident()) for a, _ in bounds]
+    assert len(computed_on) == len(bounds)
+    assert len(set(computed_on)) == 1 and computed_on[0] != threading.get_ident()
+
+
+def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
+    draw = experiments.draw_source_block
+
+    def failing(spec, seed, first_index, count):
+        if first_index == 128:  # batch 1, drawn while the worker computes batch 0
+            raise RuntimeError("draw failed")
+        return draw(spec, seed, first_index, count)
+
+    monkeypatch.setattr(experiments, "draw_source_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_converge(small_config(schedule=(200, 500), batch=128))
+    assert threading.active_count() == before
+
+
+def test_a_failure_on_the_worker_raises_from_run_converge(monkeypatch):
+    failed_on = []
+
+    def failing(self, block):
+        failed_on.append(threading.get_ident())
+        raise RuntimeError("intensities failed")
+
+    monkeypatch.setattr(GhostPipeline, "intensities", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="intensities failed"):
+        run_converge(small_config(schedule=(200, 500), batch=128))
+    assert failed_on and failed_on[0] != threading.get_ident()
+    assert threading.active_count() == before
 
 
 def test_run_converge_shapes_and_normalization():
