@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -229,16 +230,11 @@ def _warn_notes(notes) -> None:
 def _cmd_converge(args, config: ExperimentConfig, out: Path):
     pipeline = GhostPipeline.from_config(config)
     _warn_notes(pipeline.sampling_notes)
-    writer = None
-    outputs: list[Path] = []
-    try:
-        if config.write_records:
-            writer = RecordWriter(out / "records.gidat", record_header_for(config))
-            outputs.append(out / "records.gidat")
+    pipeline.unit_reference()  # a flat reference is refused before the records file is made
+    outputs = [out / "records.gidat"] if config.write_records else []
+    with (RecordWriter(outputs[0], record_header_for(config)) if outputs
+          else nullcontext()) as writer:
         result = run_converge(config, record_writer=writer, pipeline=pipeline)
-    finally:
-        if writer is not None:
-            writer.close()
     outputs.extend(_emit_converge(out, result))
     write_manifest(out / "manifest.json", args.command, config, outputs,
                    result.sampling_notes)

@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("schedule must be a non-empty strictly increasing list")
         if self.schedule[0] < 2:
             raise ConfigError("schedule counts must be >= 2")
+        if not -(1 << 63) <= self.seed < 1 << 63:  # the record header's signed 64-bit field
+            raise ConfigError(f"seed must fit a signed 64-bit integer, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.batch < 1:

@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
-from .errors import ConfigError, RecordFormatError
+from .errors import ConfigError, DegeneratePatternError, RecordFormatError
 from .fields import STREAM_VERSION, RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
@@ -141,10 +141,14 @@ class GhostPipeline:
         i2 = np.add(a2[: len(z)], a2[len(z):])
         return i1, i2
 
-    def run_realization(self, realization_index: int) -> tuple[float, RealPattern]:
-        """One full pass of the two-arm pipeline for a single realization."""
-        i1, i2 = self.batch_intensities(realization_index, realization_index + 1)
-        return float(i1[0]), RealPattern(self.detector_grid, i2[0])
+    def unit_reference(self) -> RealPattern:
+        """The reference normalized over the comparison window; a flat one
+        (an opaque mask) leaves nothing to reconstruct and is refused."""
+        try:
+            return normalize_unit(self.reference, self.config.window)
+        except DegeneratePatternError:
+            raise ConfigError("the reference pattern is flat over the comparison "
+                              "window (an opaque mask?): nothing to reconstruct") from None
 
     def asymptotic_pattern(self) -> RealPattern:
         """Exact infinite-N covariance pattern.
@@ -269,6 +273,7 @@ def _score(pipeline: GhostPipeline, n: int, acc: CorrelationAccumulator):
 def _convergence_result(pipeline: GhostPipeline, checkpoints,
                         stream: int = STREAM_VERSION) -> ConvergenceResult:
     window = pipeline.config.window
+    reference = pipeline.unit_reference()  # before the first batch is pulled
     curve: list[CurvePoint] = []
     snaps: list[tuple[int, RealPattern]] = []
     for n, acc in checkpoints:
@@ -278,7 +283,7 @@ def _convergence_result(pipeline: GhostPipeline, checkpoints,
     return ConvergenceResult(
         curve=tuple(curve),
         snapshots=tuple(snaps),
-        reference=normalize_unit(pipeline.reference, window),
+        reference=reference,
         sampling_notes=pipeline.sampling_notes,
         stream=stream,
     )
@@ -311,6 +316,7 @@ def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
     whose error reaches tau.
     """
     pipe = pipeline if pipeline is not None else GhostPipeline.from_config(config)
+    pipe.unit_reference()  # a flat reference is refused before any draw
     schedule = [n for n in config.schedule if config.n_max is None or n <= config.n_max]
     points = (
         _score(pipe, n, acc)[1]
@@ -458,7 +464,7 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
     bit.  Version 1 files did not store the batch, so their batch is not
     checked: they replay bitwise only under the live run's batch.
     """
-    header, _ = open_records(records_path)
+    header = open_records(records_path)
     expect = record_header_for(config)
     unchecked = {"n_records"} | ({"batch"} if header.batch is None else set())
     mismatched = [

@@ -20,11 +20,12 @@ Layout (little endian):
           reference pattern pixels.
 
 Round-trips are bitwise: the body is raw IEEE-754, so replaying a file feeds
-the accumulator the exact numbers the live run produced.  Replay streams the
-body through ``read_batches``, one reused batch buffer, so its memory is one
-batch whatever the record count; ``open_records`` validates a file and maps
-its body for random access.  Version 2 means the intensities come from source
-stream v2 (``fields.STREAM_VERSION``); version 1 files hold stream-v1
+the accumulator the exact numbers the live run produced.  ``open_records``
+validates a file (magic, version, and a size of exactly the header plus its
+records) and returns the header; ``read_batches`` is the one reader of the
+body, streaming it through one reused batch buffer, so replay's memory is one
+batch whatever the record count.  Version 2 means the intensities come from
+source stream v2 (``fields.STREAM_VERSION``); version 1 files hold stream-v1
 intensities and are still read.
 """
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass, replace
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -93,11 +93,11 @@ class RecordWriter:
     """Streams (i1, i2) batches to disk; the count is patched in on close."""
 
     def __init__(self, path, header: RecordHeader):
-        self.path = Path(path)
+        blob = header.pack()  # a header that cannot be packed leaves no file
         self.header = header
         self._count = 0
-        self._file = open(self.path, "wb")
-        self._file.write(header.pack())
+        self._file = open(path, "wb")
+        self._file.write(blob)
 
     def append(self, i1: np.ndarray, i2: np.ndarray) -> None:
         i1 = np.asarray(i1, dtype=np.float64)
@@ -125,17 +125,15 @@ class RecordWriter:
         self.close()
 
 
-def open_records(path) -> tuple[RecordHeader, np.ndarray]:
-    """Header plus a read-only (n, 1 + P) view of the stored intensities.
+def open_records(path) -> RecordHeader:
+    """The header of a record file, once its size is checked against it.
 
-    The body is memory mapped for random access; pages touched stay resident,
-    so a full pass belongs to ``read_batches``.  Size mismatches (truncation,
-    stray bytes) are rejected.
+    A file that is not exactly the header plus ``n_records`` rows (truncated,
+    or with stray bytes) is rejected; the body is read by ``read_batches``.
     """
-    path = Path(path)
-    size = path.stat().st_size
     with open(path, "rb") as fh:
         header = RecordHeader.unpack(fh.read(HEADER_SIZE))
+        size = fh.seek(0, 2)  # the offset of the end: the file's size
     row = 1 + header.detector_points
     expected = HEADER_SIZE + header.n_records * row * 8
     if size != expected:
@@ -143,11 +141,7 @@ def open_records(path) -> tuple[RecordHeader, np.ndarray]:
             f"file holds {size} bytes, header implies {expected} "
             f"({header.n_records} records of {row} float64)"
         )
-    if header.n_records == 0:
-        return header, np.empty((0, row), dtype=np.float64)
-    body = np.memmap(path, dtype=np.float64, mode="r", offset=HEADER_SIZE,
-                     shape=(header.n_records, row))
-    return header, body
+    return header
 
 
 def read_batches(path, detector_points: int,

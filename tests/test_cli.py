@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghostsim import __version__
+from ghostsim import __version__, experiments
 from ghostsim.analysis import split_bands
 from ghostsim.cli import main
 from ghostsim.config import load_config
+from ghostsim.records import HEADER_SIZE, RecordWriter, open_records
 
 STUDIES = Path(__file__).resolve().parent.parent / "studies"
 
@@ -129,6 +130,44 @@ def test_replay_with_wrong_seed_fails_cleanly(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    want = tmp_path / "want"
+    assert main(["converge", "--config", str(cfg), "--schedule", "200",
+                 "--out-dir", str(want)]) == 0
+
+    appended = []
+    append = RecordWriter.append
+    draw = experiments.draw_source_block
+
+    def counting(self, i1, i2):
+        appended.append(len(i1))
+        append(self, i1, i2)
+
+    def failing(spec, seed, first_index, count):
+        if first_index == 384:  # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500
+            raise RuntimeError("draw failed")
+        return draw(spec, seed, first_index, count)
+
+    monkeypatch.setattr(RecordWriter, "append", counting)
+    monkeypatch.setattr(experiments, "draw_source_block", failing)
+    died = tmp_path / "died"
+    with pytest.raises(RuntimeError, match="draw failed"):
+        main(["converge", "--config", str(cfg), "--out-dir", str(died)])
+    monkeypatch.undo()
+
+    # batch 256-384 was computed, but its records were not yet written
+    records = died / "records.gidat"
+    assert open_records(records).n_records == sum(appended) == 256
+    body = (want / "records.gidat").read_bytes()[HEADER_SIZE:]
+    assert records.read_bytes()[HEADER_SIZE:HEADER_SIZE + len(body)] == body
+    again = tmp_path / "again"
+    assert main(["replay", "--config", str(cfg), "--schedule", "200",
+                 "--records", str(records), "--out-dir", str(again)]) == 0
+    for name in ("curve.csv", "pattern_N200.csv"):
+        assert (again / name).read_bytes() == (want / name).read_bytes()
 
 
 def test_worker_count_leaves_all_outputs_byte_identical(tmp_path):
@@ -376,6 +415,52 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     (tmp_path / "empty.cfg").write_text("phi = 1e-7\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["converge", "sweep-kappa", "replay"])
+def test_an_opaque_mask_is_refused_before_any_draw(tmp_path, command, capsys, monkeypatch):
+    live = tmp_path / "live"
+    assert main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(live)]) == 0
+    (tmp_path / "opaque.txt").write_text("0\n" * 141)
+    cfg = write_config(
+        tmp_path, name="opaque.cfg",
+        extra=f"mask_file = {tmp_path / 'opaque.txt'}\nphi_list = 0.6e-3, 0.8e-3\n",
+    )
+
+    pulled = []
+    draw, read = experiments.draw_source_block, experiments.read_batches
+
+    def counting_draw(*args):
+        pulled.append("draw")
+        return draw(*args)
+
+    def counting_read(*args):
+        for batch in read(*args):
+            pulled.append("read")
+            yield batch
+
+    monkeypatch.setattr(experiments, "draw_source_block", counting_draw)
+    monkeypatch.setattr(experiments, "read_batches", counting_read)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out-dir", str(out)]
+    if command == "replay":
+        argv += ["--records", str(live / "records.gidat")]
+    assert main(argv) == 2
+    assert "error: the reference pattern is flat" in capsys.readouterr().err
+    assert pulled == []
+    assert not (out / "records.gidat").exists()
+
+
+@pytest.mark.parametrize(
+    "seed", ["9223372036854775808", "-9223372036854775809", "18446744073709551615"]
+)
+def test_a_seed_past_the_header_field_exits_2_and_leaves_no_records(tmp_path, seed, capsys):
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(write_config(tmp_path)), "--seed", seed,
+                 "--out-dir", str(out)]) == 2
+    assert "signed 64-bit" in capsys.readouterr().err
+    assert not (out / "records.gidat").exists()
 
 
 def test_version_flag(capsys):

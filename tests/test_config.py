@@ -62,6 +62,15 @@ def test_validation_rejects(changes):
         ExperimentConfig(**changes)
 
 
+def test_seed_must_fit_the_record_header_field():
+    for seed in (-(1 << 63), -1, (1 << 63) - 1):
+        assert ExperimentConfig(seed=seed).seed == seed
+    # 2^64 - 1 drew the same stream as -1: the draw keys on seed mod 2^64
+    for seed in (1 << 63, -(1 << 63) - 1, (1 << 64) - 1):
+        with pytest.raises(ConfigError, match="signed 64-bit"):
+            ExperimentConfig(seed=seed)
+
+
 def test_replace_and_to_dict():
     cfg = ExperimentConfig().replace(phi=2e-3, seed=7)
     assert cfg.phi == 2e-3 and cfg.seed == 7

@@ -62,9 +62,9 @@ def test_collapsed_pipeline_matches_stepwise_chain():
     want_i1 = abs(amp1) ** 2
     want_i2 = np.abs(propagate(field, to_detector).samples) ** 2
 
-    got_i1, got_i2 = pipe.run_realization(5)
+    (got_i1,), (got_i2,) = pipe.batch_intensities(5, 6)
     assert got_i1 == pytest.approx(want_i1, rel=1e-10)
-    np.testing.assert_allclose(got_i2.samples, want_i2, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got_i2, want_i2, rtol=1e-10, atol=0.0)
 
 
 def test_batch_intensities_match_columnwise_construction():
@@ -134,14 +134,15 @@ def test_reference_factors_match_the_dense_kernel(cfg):
 
 
 def test_run_realization_deterministic_across_calls():
+    # one realization at a time, through the batch path every run takes
     pipe = GhostPipeline.from_config(small_config())
-    i1a, p2a = pipe.run_realization(3)
-    i1b, p2b = pipe.run_realization(3)
-    assert i1a == i1b
-    assert np.array_equal(p2a.samples, p2b.samples)
-    i1c, p2c = pipe.run_realization(4)
-    assert i1c != i1a
-    assert not np.array_equal(p2c.samples, p2a.samples)
+    i1a, p2a = pipe.batch_intensities(3, 4)
+    i1b, p2b = pipe.batch_intensities(3, 4)
+    assert np.array_equal(i1a, i1b)
+    assert np.array_equal(p2a, p2b)
+    i1c, p2c = pipe.batch_intensities(4, 5)
+    assert i1c[0] != i1a[0]
+    assert not np.array_equal(p2c, p2a)
 
 
 def test_opaque_mask_kills_scalar_arm_and_covariance(tmp_path):

@@ -14,6 +14,11 @@ from ghostsim.records import (
 )
 
 
+def stored_rows(path, points=8):
+    """The body straight from the file's bytes: an oracle sharing no code with read_batches."""
+    return np.fromfile(path, dtype="<f8", offset=HEADER_SIZE).reshape(-1, 1 + points)
+
+
 def make_header(n=0, points=8, seed=4, batch=256):
     return RecordHeader(
         n_records=n,
@@ -61,10 +66,12 @@ def test_roundtrip_is_bitwise(tmp_path):
     with RecordWriter(path, make_header()) as w:
         w.append(i1[:37], i2[:37])
         w.append(i1[37:], i2[37:])
-    header, body = open_records(path)
+    header = open_records(path)
     assert header.n_records == 100  # count patched on close
-    assert np.array_equal(body[:, 0], i1)
-    assert np.array_equal(body[:, 1:], i2)
+    (got_i1, got_i2), = read_batches(path, 8, [(0, 100)])
+    assert np.array_equal(got_i1, i1)
+    assert np.array_equal(got_i2, i2)
+    assert np.array_equal(stored_rows(path), np.column_stack((i1, i2)))
 
 
 def test_writer_close_is_idempotent(tmp_path):
@@ -73,9 +80,15 @@ def test_writer_close_is_idempotent(tmp_path):
     w.append(np.ones(3), np.ones((3, 8)))
     w.close()
     w.close()
-    header, body = open_records(path)
-    assert header.n_records == 3
-    assert body.shape == (3, 9)
+    assert open_records(path).n_records == 3
+    assert np.array_equal(stored_rows(path), np.ones((3, 9)))
+
+
+def test_writer_refuses_an_unpackable_header_before_making_the_file(tmp_path):
+    path = tmp_path / "r.gidat"
+    with pytest.raises(struct.error):
+        RecordWriter(path, make_header(seed=1 << 63))  # past the signed 64-bit field
+    assert not path.exists()
 
 
 def test_writer_rejects_shape_mismatch(tmp_path):
@@ -90,9 +103,9 @@ def test_writer_rejects_shape_mismatch(tmp_path):
 def test_empty_file_reads_back_empty(tmp_path):
     path = tmp_path / "r.gidat"
     RecordWriter(path, make_header()).close()
-    header, body = open_records(path)
-    assert header.n_records == 0
-    assert body.shape == (0, 9)
+    assert open_records(path).n_records == 0
+    assert path.stat().st_size == HEADER_SIZE
+    assert list(read_batches(path, 8, [])) == []
 
 
 def test_open_records_rejects_bad_sizes(tmp_path):
@@ -133,9 +146,10 @@ def test_hand_packed_version1_file_still_opens(tmp_path):
     rows = np.arange(9, dtype=np.float64).reshape(3, 3)
     path = tmp_path / "v1.gidat"
     path.write_bytes(blob + rows.tobytes())
-    header, body = open_records(path)
-    assert header == make_header(n=3, points=2, batch=None)
-    assert np.array_equal(body, rows)
+    assert open_records(path) == make_header(n=3, points=2, batch=None)
+    (i1, i2), = read_batches(path, 2, [(0, 3)])
+    assert np.array_equal(i1, rows[:, 0])
+    assert np.array_equal(i2, rows[:, 1:])
 
 
 def test_read_batches_equal_the_mapped_slices(tmp_path):
@@ -143,7 +157,8 @@ def test_read_batches_equal_the_mapped_slices(tmp_path):
     path = tmp_path / "r.gidat"
     with RecordWriter(path, make_header()) as w:
         w.append(rng.exponential(size=23), rng.exponential(size=(23, 8)))
-    header, body = open_records(path)
+    header = open_records(path)
+    body = stored_rows(path)
     bounds = [(0, 10), (10, 20), (20, 23)]  # a short last batch
     got = [(a.copy(), b.copy()) for a, b in read_batches(path, header.detector_points, bounds)]
     assert len(got) == len(bounds)
