@@ -62,9 +62,10 @@ def write_curve_csv(path: Path, curve) -> None:
 
 def write_pattern_csv(path: Path, reconstruction, reference) -> None:
     lines = ["position_m,reconstruction,reference"]
-    coords = reconstruction.grid.coords(0)
-    for x, yr, yt in zip(coords, reconstruction.samples, reference.samples):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(yr))},{_fmt(float(yt))}")
+    coords = reconstruction.grid.coords(0).tolist()
+    # tolist() gives Python floats, whose repr is what _fmt writes for a float
+    for x, yr, yt in zip(coords, reconstruction.samples.tolist(), reference.samples.tolist()):
+        lines.append(f"{x!r},{yr!r},{yt!r}")
     _write_lines(path, lines)
 
 
@@ -90,7 +91,7 @@ def write_speckle_csv(path: Path, points) -> None:
 
 
 def write_grid_csv(path: Path, pattern) -> None:
-    lines = [",".join(_fmt(float(v)) for v in row) for row in pattern.samples]
+    lines = [",".join(map(repr, row)) for row in pattern.samples.tolist()]
     _write_lines(path, lines)
 
 
@@ -224,13 +225,15 @@ def _warn_notes(notes) -> None:
 
 
 # Each command runs one config into one directory and returns its result
-# and the files it wrote, manifest last.
+# and the files it wrote, manifest last.  It makes the directory only once
+# the run is past its refusals, so a refused run leaves none behind.
 
 
 def _cmd_converge(args, config: ExperimentConfig, out: Path):
     pipeline = GhostPipeline.from_config(config)
     _warn_notes(pipeline.sampling_notes)
     pipeline.unit_reference()  # a flat reference is refused before the records file is made
+    out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "records.gidat"] if config.write_records else []
     with (RecordWriter(outputs[0], record_header_for(config)) if outputs
           else nullcontext()) as writer:
@@ -245,6 +248,7 @@ def _cmd_converge(args, config: ExperimentConfig, out: Path):
 
 def _cmd_replay(args, config: ExperimentConfig, out: Path):
     result = replay_converge(config, args.records)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = _emit_converge(out, result)
     write_manifest(out / "manifest.json", args.command, config, outputs,
                    result.sampling_notes, result.stream)
@@ -261,6 +265,7 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path):
     points = run_kappa_sweep(config)
     notes = _sweep_notes(points)
     _warn_notes(notes)
+    out.mkdir(parents=True, exist_ok=True)
     write_kappa_csv(out / "kappa.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"], notes)
     for p in points:
@@ -274,6 +279,7 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path):
 
 def _cmd_speckle(args, config: ExperimentConfig, out: Path):
     points = run_speckle(config)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "speckle.csv"]
     write_speckle_csv(out / "speckle.csv", points)
     for k, p in enumerate(points):
@@ -309,10 +315,8 @@ def _run_seeds(args, configs: list[ExperimentConfig], out: Path) -> None:
     name, write_median, notes_of = _MEDIANS[args.command]
     results, outputs = [], []
     for config in configs:
-        sub = out / f"seed{config.seed}"
-        sub.mkdir(parents=True, exist_ok=True)
         print(f"seed {config.seed}:")
-        result, written = _COMMANDS[args.command](args, config, sub)
+        result, written = _COMMANDS[args.command](args, config, out / f"seed{config.seed}")
         results.append(result)
         outputs.extend(written)
     write_median(out / name, results)
@@ -330,7 +334,6 @@ def main(argv=None) -> int:
         if len(configs) > 1 and args.command not in _MEDIANS:
             raise ConfigError(f"{args.command} takes a single --seed, got {args.seed!r}")
         out = args.out_dir if args.out_dir is not None else Path(f"ghostsim-{args.command}")
-        out.mkdir(parents=True, exist_ok=True)
         if len(configs) > 1:
             _run_seeds(args, configs, out)
         else:

@@ -67,6 +67,9 @@ class CorrelationAccumulator:
     def fold_batch(self, i1: np.ndarray, i2: np.ndarray) -> None:
         """Fold a batch: i1 shape (B,), i2 shape (B, *grid.shape).
 
+        Live runs and replay pass the two column views of one C-ordered
+        (B, 1 + P) record block.  They are reduced where they lie: i2 enters
+        the GEMV as a matrix with leading dimension 1 + P, and is not copied.
         Equivalent to updating realization by realization up to float
         rounding; the batch is reduced with fixed-shape numpy sums, then the
         three batch totals enter the compensated accumulators.  The batch is
@@ -76,7 +79,8 @@ class CorrelationAccumulator:
         """
         i1 = np.asarray(i1, dtype=np.float64)
         i2 = np.asarray(i2, dtype=np.float64)
-        if i2.shape != (i1.shape[0],) + self.grid.shape:
+        n = i1.shape[0]
+        if i2.shape != (n,) + self.grid.shape:
             raise GridMismatchError("batch shapes do not match accumulator grid")
         ok = i1.min(initial=0.0) >= 0.0 and i2.min(initial=0.0) >= 0.0
         s1 = float(i1.sum())
@@ -84,7 +88,9 @@ class CorrelationAccumulator:
         if not (ok and np.isfinite(s1) and np.isfinite(s2).all()):
             _check_batch(i1, i2)  # raises naming the bad value, if there is one
             raise ValueError("batch sums overflow")
-        self._add(s1, s2, np.tensordot(i1, i2, axes=(0, 0)), i1.shape[0])
+        # a 2D grid (speckle) folds as (B, pixels); the reshape is a view
+        s12 = np.ascontiguousarray(i1) @ i2.reshape(n, s2.size)
+        self._add(s1, s2, s12.reshape(s2.shape), n)
 
     def copy(self) -> "CorrelationAccumulator":
         out = CorrelationAccumulator(self.grid)

@@ -128,17 +128,22 @@ class GhostPipeline:
     def intensities(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Intensity pairs of a ``draw_source_block`` block of B realizations.
 
-        Returns i1 with shape (B,) and i2 with shape (B, P), both C-ordered;
-        replaying the same numbers from disk folds bitwise identically.
+        Returns i1 (B,) and i2 (B, P) as the two column views of one C-ordered
+        (B, 1 + P) block laid out as a record row: i1 in column 0, the P
+        pixels of i2 after it.  Replay reads the records back into the same
+        layout, so both fold the same arrays bitwise.
         """
+        b = len(block)
+        rows = np.empty((b, 1 + self.detector_grid.npoints))
+        i1, i2 = rows[:, 0], rows[:, 1:]
         a1 = block @ self.test_weights
-        i1 = a1.real * a1.real + a1.imag * a1.imag
+        np.add(a1.real * a1.real, a1.imag * a1.imag, out=i1)
         z = block @ self.ref_nodes
         # the real and imaginary parts stacked, (2B, m), through one real GEMM
         a2 = np.concatenate((z.real, z.imag)) @ self.ref_interp
         # re*re + im*im, rounded as that expression, with one temporary fewer
         np.multiply(a2, a2, out=a2)
-        i2 = np.add(a2[: len(z)], a2[len(z):])
+        np.add(a2[:b], a2[b:], out=i2)
         return i1, i2
 
     def unit_reference(self) -> RealPattern:
@@ -417,7 +422,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
                 i2 += np.multiply(amps.imag, amps.imag, out=amps.imag)
                 if snapshot is None:
                     snapshot = RealPattern(grid_out, i2[0].copy())
-                yield np.ascontiguousarray(i2[:, ref_index[0], ref_index[1]]), i2
+                yield i2[:, ref_index[0], ref_index[1]], i2
 
         (_, acc), = fold_checkpoints(grid_out, batches(), (config.speckle_n,))
         cmap = coherence_map(acc)

@@ -145,7 +145,9 @@ def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
         raise ValueError("first_index must be >= 0")
     block = np.empty((count, spec.aperture_indices.size), dtype=np.complex128)
     parts = block.view(np.float64)
-    bitgen = Philox()
+    # Any seed will do: the state is replaced before every row.  A fixed one
+    # spares reading OS entropy for a generator whose state is thrown away.
+    bitgen = Philox(0)
     rng = Generator(bitgen)
     key = np.zeros(2, dtype=np.uint64)
     state = {

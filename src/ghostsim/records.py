@@ -24,9 +24,12 @@ the accumulator the exact numbers the live run produced.  ``open_records``
 validates a file (magic, version, and a size of exactly the header plus its
 records) and returns the header; ``read_batches`` is the one reader of the
 body, streaming it through one reused batch buffer, so replay's memory is one
-batch whatever the record count.  Version 2 means the intensities come from
-source stream v2 (``fields.STREAM_VERSION``); version 1 files hold stream-v1
-intensities and are still read.
+batch whatever the record count.  A block of records is also the one layout
+of a batch in memory: live runs compute their intensities into a (B, 1 + P)
+block, replay reads the file into one, and both fold the block's two column
+views, so the same bits meet the same arithmetic.  Version 2 means the
+intensities come from source stream v2 (``fields.STREAM_VERSION``); version 1
+files hold stream-v1 intensities and are still read.
 """
 
 from __future__ import annotations
@@ -148,28 +151,23 @@ def read_batches(path, detector_points: int,
                  bounds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(i1, i2) for the records [a, b) of each of ``bounds``, read in order.
 
-    Each batch is read into one reused (rows, 1 + P) buffer and its columns
-    are copied into reused C-ordered i1 (B,) and i2 (B, P) buffers, the shapes
-    a live run folds, so memory stays at one batch.  The arrays are
-    overwritten by the next batch.  Records past the end of the body raise
-    ``RecordFormatError``.
+    Each batch is read into one reused (rows, 1 + P) buffer, and i1 (B,) and
+    i2 (B, P) are its two column views, the layout in which a live run folds
+    its batches, so memory stays at one batch and nothing is copied.  The
+    views are overwritten by the next batch.  Records past the end of the
+    body raise ``RecordFormatError``.
     """
     bounds = list(bounds)
     width = 1 + detector_points
     rows = max((b - a for a, b in bounds), default=0)
     block = np.empty((rows, width), dtype=np.float64)
-    i1 = np.empty(rows, dtype=np.float64)
-    i2 = np.empty((rows, detector_points), dtype=np.float64)
     with open(path, "rb", buffering=0) as fh:
         for a, b in bounds:
-            n = b - a
             fh.seek(HEADER_SIZE + a * width * 8)
-            view = block[:n]
+            view = block[: b - a]
             got = fh.readinto(view)
             if got != view.nbytes:
                 raise RecordFormatError(
                     f"records up to {b} asked, the body ends after {a + got // (width * 8)}"
                 )
-            np.copyto(i1[:n], view[:, 0])
-            np.copyto(i2[:n], view[:, 1:])
-            yield i1[:n], i2[:n]
+            yield view[:, 0], view[:, 1:]

@@ -100,6 +100,28 @@ def test_replay_reproduces_files_byte_identical(tmp_path):
         assert (again / name).read_bytes() == (live / name).read_bytes()
 
 
+@pytest.mark.parametrize("points", [3, 5])
+def test_replay_at_a_small_detector_is_byte_equal_to_the_live_run(tmp_path, points):
+    # a strided and a contiguous GEMV round differently at a few pixels, so
+    # live and replay must fold the same (B, 1 + P) layout to agree here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL.replace("detector_points = 64", f"detector_points = {points}")
+                   + "window = 0, 2\n")
+    live, again = tmp_path / "live", tmp_path / "again"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(live)]) == 0
+    assert main([
+        "replay", "--config", str(cfg), "--out-dir", str(again),
+        "--records", str(live / "records.gidat"),
+    ]) == 0
+    for name in ("curve.csv", "pattern_N200.csv", "pattern_N500.csv"):
+        assert (again / name).read_bytes() == (live / name).read_bytes()
+    pipe = experiments.GhostPipeline.from_config(load_config(cfg))
+    live_rows = [np.column_stack(pipe.batch_intensities(a, b))
+                 for a, b in experiments.batch_bounds(500, (200, 500), 128)]
+    body = (live / "records.gidat").read_bytes()[HEADER_SIZE:]
+    assert body == np.concatenate(live_rows).astype("<f8").tobytes()
+
+
 def test_replay_manifest_names_the_stream_of_the_records(tmp_path):
     cfg = write_config(tmp_path)
     live, v2, v1 = tmp_path / "live", tmp_path / "v2", tmp_path / "v1"
@@ -415,6 +437,7 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     (tmp_path / "empty.cfg").write_text("phi = 1e-7\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("ghostsim-*"))  # no output directory is left
 
 
 @pytest.mark.parametrize("command", ["converge", "sweep-kappa", "replay"])
@@ -449,7 +472,41 @@ def test_an_opaque_mask_is_refused_before_any_draw(tmp_path, command, capsys, mo
     assert main(argv) == 2
     assert "error: the reference pattern is flat" in capsys.readouterr().err
     assert pulled == []
-    assert not (out / "records.gidat").exists()
+    assert not out.exists()  # so no records file either
+
+
+@pytest.mark.parametrize(
+    "refusal, argv",
+    [
+        ("pattern is flat", ["converge", "--config", "opaque.cfg", "--seed", "0,1"]),
+        ("exceeds grid extent", ["converge", "--config", "wide.cfg", "--seed", "0,1"]),
+        ("exceeds grid extent", ["sweep-kappa", "--config", "run.cfg",
+                                 "--phi-list", "0.6e-3,3e-3"]),
+        ("exceeds grid extent", ["speckle", "--config", "speckle.cfg"]),
+        ("different configuration", ["replay", "--config", "run.cfg", "--seed", "1",
+                                     "--records", "live/records.gidat"]),
+        ("file holds 500", ["replay", "--config", "run.cfg", "--schedule", "200, 800",
+                            "--records", "live/records.gidat"]),
+        ("No such file", ["replay", "--config", "run.cfg", "--records", "none.gidat"]),
+    ],
+    ids=["flat-reference", "converge-too-wide", "sweep-too-wide", "speckle-too-wide",
+         "foreign-records", "short-records", "missing-records"],
+)
+def test_a_refused_run_leaves_no_output_directory(tmp_path, refusal, argv, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["converge", "--config", str(cfg), "--out-dir", "live"]) == 0
+    (tmp_path / "opaque.txt").write_text("0\n" * 141)
+    write_config(tmp_path, name="opaque.cfg", extra="mask_file = opaque.txt\n")
+    (tmp_path / "speckle.cfg").write_text(
+        "speckle_points = 48\nspeckle_pitch = 40e-6\nspeckle_phi_list = 5e-4, 5e-3\n"
+    )
+    (tmp_path / "wide.cfg").write_text("phi = 3e-3\n")
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", "out"]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,21 @@ def test_fold_batch_is_deterministic():
     assert np.array_equal(a.sum12, b.sum12)
 
 
+@pytest.mark.parametrize("points", [64, 256])
+@pytest.mark.parametrize("n", [1, 7, 128, 256])
+def test_fold_batch_on_record_row_views_equals_contiguous_copies(n, points):
+    rows = np.random.default_rng(n * points).exponential(size=(n, 1 + points))
+    grid = make_grid(1, points, 1e-6)
+    views = CorrelationAccumulator(grid)
+    views.fold_batch(rows[:, 0], rows[:, 1:])
+    copies = CorrelationAccumulator(grid)
+    copies.fold_batch(rows[:, 0].copy(), rows[:, 1:].copy())
+    assert views.count == copies.count == n
+    assert views.sum1 == copies.sum1
+    assert np.array_equal(views.sum2, copies.sum2)
+    assert np.array_equal(views.sum12, copies.sum12)
+
+
 def test_copy_is_independent():
     acc = CorrelationAccumulator(GRID2)
     acc.update(1.0, pattern2(2.0))

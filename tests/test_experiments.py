@@ -98,7 +98,12 @@ def test_batch_intensities_match_columnwise_construction():
     i1, i2 = pipe.batch_intensities(a, b, index_base)
     assert np.array_equal(i1, want_i1)
     assert np.array_equal(i2, want_i2)
-    assert i2.flags.c_contiguous
+    # the two column views of one C-ordered (B, 1 + P) record block
+    rows = i1.base
+    assert rows is i2.base and rows.flags.c_contiguous
+    assert rows.shape == (b - a, 1 + cfg.detector_points)
+    assert np.array_equal(rows, np.column_stack((want_i1, want_i2)))
+    assert (i1.ctypes.data, i2.ctypes.data) == (rows.ctypes.data, rows.ctypes.data + 8)
 
 
 KAPPA_UNIT = 3.04e-4  # wavelength * d1 / slit_width at the defaults

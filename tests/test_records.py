@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,13 +161,37 @@ def test_read_batches_equal_the_mapped_slices(tmp_path):
     header = open_records(path)
     body = stored_rows(path)
     bounds = [(0, 10), (10, 20), (20, 23)]  # a short last batch
-    got = [(a.copy(), b.copy()) for a, b in read_batches(path, header.detector_points, bounds)]
+    got = []
+    for i1, i2 in read_batches(path, header.detector_points, bounds):
+        # the two column views of one C-ordered (B, 1 + P) block
+        assert i1.strides == (9 * 8,) and i2.strides == (9 * 8, 8)
+        assert i2.ctypes.data == i1.ctypes.data + 8
+        got.append((i1.copy(), i2.copy()))
     assert len(got) == len(bounds)
     for (a, b), (i1, i2) in zip(bounds, got):
-        assert i1.flags.c_contiguous and i2.flags.c_contiguous
         assert i1.shape == (b - a,) and i2.shape == (b - a, 8)
         assert np.array_equal(i1, body[a:b, 0])
         assert np.array_equal(i2, body[a:b, 1:])
+
+
+def test_read_batches_hand_out_views_of_one_buffer(tmp_path):
+    points, rows, batches = 256, 64, 40
+    path = tmp_path / "r.gidat"
+    with RecordWriter(path, make_header(points=points)) as w:
+        w.append(np.ones(rows * batches), np.ones((rows * batches, points)))
+    bounds = [(k * rows, (k + 1) * rows) for k in range(batches)]
+    reader = read_batches(path, points, bounds)
+    i1, i2 = next(reader)
+    buffer = i1.base
+    assert i2.base is buffer and buffer.shape == (rows, 1 + points)
+    tracemalloc.start()
+    try:
+        for i1, i2 in reader:
+            assert i1.base is buffer and i2.base is buffer
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffer.nbytes // 8  # a few view objects, not a batch
 
 
 def test_read_batches_past_the_body_raise(tmp_path):
