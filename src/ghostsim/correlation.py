@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GridMismatchError, InsufficientSamplesError
 from .fields import RealPattern
 from .grids import Grid
+from .records import record_rows
 
 
 def _two_sum(a, b):
@@ -82,7 +83,11 @@ class CorrelationAccumulator:
         n = i1.shape[0]
         if i2.shape != (n,) + self.grid.shape:
             raise GridMismatchError("batch shapes do not match accumulator grid")
-        ok = i1.min(initial=0.0) >= 0.0 and i2.min(initial=0.0) >= 0.0
+        # the block behind two record-row views is checked in one pass over
+        # contiguous memory; over the strided i2 alone numpy loops row by row
+        rows = record_rows(i1, i2)
+        parts = (i1, i2) if rows is None else (rows,)
+        ok = all(part.min(initial=0.0) >= 0.0 for part in parts)
         s1 = float(i1.sum())
         s2 = i2.sum(axis=0)
         if not (ok and np.isfinite(s1) and np.isfinite(s2).all()):

@@ -19,17 +19,22 @@ Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
 and the batch size alone) are folded in index order into one accumulator on
 the calling thread, which is scored at each scheduled N.  Live runs, replay,
 threshold search and speckle differ only in where the batches come from.
-Live runs overlap two batches: one worker thread computes the intensities of
-batch k while the calling thread draws the source block of batch k + 1, then
-records, folds and scores batch k.  Nothing is drawn ahead past a checkpoint,
-and the numbers, and their order, do not change.
+Live runs overlap two batches, and both threads draw every source block:
+one worker thread computes the intensities of batch k and then draws a third
+of the rows of block k + 1, while the calling thread draws the rest of that
+block, then records, folds and scores batch k.  Every row comes from its own
+re-keyed stream, so which thread draws it changes no number.  Nothing is
+drawn ahead past a checkpoint, and the numbers, and their order, do not
+change.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,6 +69,9 @@ from .records import RecordHeader, RecordWriter, open_records, read_batches
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+# The share of each live block's rows that the worker thread draws after it
+# has computed the previous batch's intensities (see ``_live_batches``).
+_WORKER_DRAW_SHARE = Fraction(1, 3)
 
 
 @dataclass(eq=False)
@@ -211,32 +219,66 @@ def fold_checkpoints(
             yield acc.count, acc.copy()
 
 
+def _worker_draw_share() -> Fraction:
+    """The share of each block's rows the worker draws: none on one CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return _WORKER_DRAW_SHARE if cpus >= 2 else Fraction(0)
+
+
 def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
                   record_writer: RecordWriter | None):
     """The intensity batches over ``bounds``, in order.
 
-    While one worker thread computes the intensities of batch k, the calling
-    thread draws the block of batch k + 1; it then records batch k and hands
-    it to the fold.  The draw, the longest stage, stays on the calling
-    thread, so the time the worker takes to wake is hidden behind it.  After
-    a batch that ends at a mark nothing is drawn ahead: the next block is
-    drawn when the fold pulls it, so a search that stops at a mark draws
-    nothing it does not fold.
+    Both threads draw every block, into one of two reused buffers.  The one
+    worker thread computes the intensities of batch k and then draws the last
+    ``_WORKER_DRAW_SHARE`` of the rows of block k + 1, while the calling
+    thread draws the rest of that block; the calling thread then waits for
+    the worker, records batch k and hands it to the fold.  The worker's share
+    is under half because it computes the intensities too; on a host with
+    one CPU it is zero, and the calling thread draws every row.  After a
+    batch that ends at a mark nothing is drawn ahead: the next block is drawn
+    when the fold pulls it, by both threads at once, so a search that stops
+    at a mark draws nothing it does not fold.
     """
     spec, seed = pipeline.source_spec, pipeline.config.seed
+    share = _worker_draw_share()
+    longest = max(b - a for a, b in bounds)
+    blocks = [np.empty((longest, spec.aperture_indices.size), dtype=np.complex128)
+              for _ in range(2)]
 
-    def draw(a: int, b: int) -> np.ndarray:
-        return draw_source_block(spec, seed, index_base + a, b - a)
+    def draw(k: int, worker_rows: bool) -> None:
+        """Draw the worker's or the calling thread's rows of block k."""
+        a, b = bounds[k]
+        cut = b - int((b - a) * share)  # the worker draws [cut, b)
+        lo, hi = (cut, b) if worker_rows else (a, cut)
+        if hi > lo:
+            draw_source_block(spec, seed, index_base + lo, hi - lo,
+                              out=blocks[k % 2][lo - a : hi - a])
+
+    def compute(k: int, ahead: bool) -> tuple[np.ndarray, np.ndarray]:
+        a, b = bounds[k]
+        batch = pipeline.intensities(blocks[k % 2][: b - a])
+        if ahead:
+            draw(k + 1, worker_rows=True)
+        return batch
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = None
-        for k, (a, b) in enumerate(bounds):
-            block = draw(a, b) if ahead is None else ahead
-            pending = worker.submit(pipeline.intensities, block)
-            ahead = None if b in marks else draw(*bounds[k + 1])
+        ahead = False
+        for k, (_, b) in enumerate(bounds):
+            if not ahead:  # block k was not drawn ahead: both threads draw it now
+                theirs = worker.submit(draw, k, True) if share else None
+                draw(k, worker_rows=False)
+                if theirs is not None:
+                    theirs.result()
+            ahead = b not in marks
+            pending = worker.submit(compute, k, ahead)
+            if ahead:
+                draw(k + 1, worker_rows=False)
             i1, i2 = pending.result()
-            # the Future holds the result too; drop it with the block
-            del pending, block
+            del pending  # the Future holds the batch too
             if record_writer is not None:
                 record_writer.append(i1, i2)
             yield i1, i2

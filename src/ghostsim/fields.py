@@ -130,7 +130,7 @@ class SourceSpec:
 
 
 def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
-                      count: int) -> np.ndarray:
+                      count: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Realizations first_index, ..., first_index + count - 1 as a compact block.
 
     Returns a C-ordered (count, n_in) complex128 array holding only the
@@ -140,10 +140,24 @@ def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
     ``RngStream(seed, first_index + j).generator()``: one Philox is re-keyed
     to (seed, index) with a zero counter and an empty buffer for every row,
     which is exactly the state ``Philox(key=...)`` starts from.
+
+    With ``out``, a writeable C-contiguous (count, n_in) complex128 array such
+    as a run of rows of a larger block, the rows are drawn into it and it is
+    returned; any other ``out`` raises ``ValueError``.  Every call keys its
+    own Philox, so threads may fill disjoint rows of one block at the same
+    time, and row j is the same whichever thread fills it.
     """
     if first_index < 0:
         raise ValueError("first_index must be >= 0")
-    block = np.empty((count, spec.aperture_indices.size), dtype=np.complex128)
+    shape = (count, spec.aperture_indices.size)
+    if out is None:
+        block = np.empty(shape, dtype=np.complex128)
+    elif (isinstance(out, np.ndarray) and out.shape == shape
+          and out.dtype == np.complex128 and out.flags.c_contiguous
+          and out.flags.writeable):
+        block = out
+    else:
+        raise ValueError(f"out must be a writeable C-contiguous {shape} complex128 array")
     parts = block.view(np.float64)
     # Any seed will do: the state is replaced before every row.  A fixed one
     # spares reading OS entropy for a generator whose state is thrown away.

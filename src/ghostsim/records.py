@@ -27,9 +27,11 @@ body, streaming it through one reused batch buffer, so replay's memory is one
 batch whatever the record count.  A block of records is also the one layout
 of a batch in memory: live runs compute their intensities into a (B, 1 + P)
 block, replay reads the file into one, and both fold the block's two column
-views, so the same bits meet the same arithmetic.  Version 2 means the
-intensities come from source stream v2 (``fields.STREAM_VERSION``); version 1
-files hold stream-v1 intensities and are still read.
+views, so the same bits meet the same arithmetic; ``record_rows`` finds the
+block behind two such views, which the writer then writes as it is.
+Version 2 means the intensities come from source stream v2
+(``fields.STREAM_VERSION``); version 1 files hold stream-v1 intensities and
+are still read.
 """
 
 from __future__ import annotations
@@ -92,6 +94,26 @@ class RecordHeader:
         return replace(header, batch=None) if version == 1 else header
 
 
+def record_rows(i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
+    """The C-ordered (B, 1 + P) block of record rows whose column views are
+    i1 (B,) and i2 (B, P), or None when they are not two such views.
+
+    Live runs and ``read_batches`` hand out their batches as such views, so
+    the block can be checked and written whole, with no copy.
+    """
+    base = i1.base
+    if not (isinstance(base, np.ndarray) and i2.base is base and base.flags.c_contiguous
+            and i1.ndim == 1 and i2.ndim == 2 and i2.shape[0] == i1.shape[0]
+            and base.dtype == i1.dtype == i2.dtype == np.float64):
+        return None
+    n, width = i2.shape[0], 1 + i2.shape[1]
+    start, odd = divmod(i1.ctypes.data - base.ctypes.data, 8)
+    if odd or i1.strides != (8 * width,) or i2.strides != (8 * width, 8) \
+            or i2.ctypes.data != i1.ctypes.data + 8:
+        return None
+    return base.reshape(-1)[start : start + n * width].reshape(n, width)
+
+
 class RecordWriter:
     """Streams (i1, i2) batches to disk; the count is patched in on close."""
 
@@ -107,9 +129,11 @@ class RecordWriter:
         i2 = np.asarray(i2, dtype=np.float64)
         if i1.ndim != 1 or i2.shape != (i1.shape[0], self.header.detector_points):
             raise ValueError("append expects i1 (B,) and i2 (B, P)")
-        block = np.empty((i1.shape[0], 1 + i2.shape[1]), dtype=np.float64)
-        block[:, 0] = i1
-        block[:, 1:] = i2
+        block = record_rows(i1, i2)
+        if block is None:
+            block = np.empty((i1.shape[0], 1 + i2.shape[1]), dtype=np.float64)
+            block[:, 0] = i1
+            block[:, 1:] = i2
         block.tofile(self._file)
         self._count += i1.shape[0]
 

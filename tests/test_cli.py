@@ -168,10 +168,12 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
         appended.append(len(i1))
         append(self, i1, i2)
 
-    def failing(spec, seed, first_index, count):
-        if first_index == 384:  # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500
+    def failing(spec, seed, first_index, count, **kwargs):
+        # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500; the calling
+        # thread draws the first rows of a block, from its first index
+        if first_index == 384:
             raise RuntimeError("draw failed")
-        return draw(spec, seed, first_index, count)
+        return draw(spec, seed, first_index, count, **kwargs)
 
     monkeypatch.setattr(RecordWriter, "append", counting)
     monkeypatch.setattr(experiments, "draw_source_block", failing)

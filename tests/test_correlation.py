@@ -75,6 +75,26 @@ def test_fold_batch_rejects_bad_values_and_keeps_sums(bad, arm):
     assert np.array_equal(acc.sum12, before[3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_fold_batch_refuses_bad_values_in_record_row_views(bad, column):
+    # the batch is checked over the block behind the views, whichever column holds the value
+    acc = CorrelationAccumulator(GRID2)
+    acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    rows = np.ones((5, 3))
+    rows[3, column] = bad
+    with pytest.raises(ValueError):
+        acc.fold_batch(rows[1:4, 0], rows[1:4, 1:])
+    assert acc.count == before[0]
+    assert acc.sum1 == before[1]
+    assert np.array_equal(acc.sum2, before[2])
+    assert np.array_equal(acc.sum12, before[3])
+    # a bad value in a row outside the views is not part of the batch
+    acc.fold_batch(rows[:3, 0], rows[:3, 1:])
+    assert acc.count == before[0] + 3
+
+
 positive = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 

@@ -212,35 +212,47 @@ def test_iter_checkpoints_is_lazy():
 
 
 @pytest.fixture
-def drawn_stops(monkeypatch):
-    """The stop index of every source block the pipeline draws."""
-    stops = []
+def drawn_indices(monkeypatch):
+    """Every realization index the pipeline draws, once for each time it is drawn."""
+    indices = []
     draw = experiments.draw_source_block
 
-    def counting(spec, seed, first_index, count):
-        stops.append(first_index + count)
-        return draw(spec, seed, first_index, count)
+    def counting(spec, seed, first_index, count, **kwargs):
+        indices.extend(range(first_index, first_index + count))
+        return draw(spec, seed, first_index, count, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_source_block", counting)
-    return stops
+    return indices
 
 
-def test_threshold_search_draws_nothing_past_the_crossing(drawn_stops):
+def on_cpus(monkeypatch, count):
+    """Let a live run see ``count`` CPUs, which sets the worker's share of each draw."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def worker_cut(a, b):
+    """The first row of block [a, b) that the worker draws on a host with two CPUs."""
+    return b - int((b - a) * experiments._WORKER_DRAW_SHARE)
+
+
+def test_threshold_search_draws_nothing_past_the_crossing(drawn_indices):
     # tau = 1 crosses at the first checkpoint, 200: no batch past it is drawn.
     cfg = small_config(schedule=(200, 400, 800, 1600), tau=1.0)
     search = run_threshold(cfg)
     assert search.n_star == 200
     assert [p.n for p in search.curve] == [200]
-    assert drawn_stops == [b for _, b in batch_bounds(200, cfg.schedule, cfg.batch)]
+    # every index up to the crossing is drawn exactly once, by whichever thread
+    assert sorted(drawn_indices) == list(range(200))
 
 
-def test_run_threshold_cuts_the_schedule_at_n_max(drawn_stops):
+def test_run_threshold_cuts_the_schedule_at_n_max(drawn_indices):
     cfg = small_config(schedule=(200, 400, 800), tau=1e-6, n_max=500)
     search = run_threshold(cfg)
     assert not search.reached
     assert search.n_budget == 400
     assert [p.n for p in search.curve] == [200, 400]
-    assert drawn_stops == [b for _, b in batch_bounds(400, cfg.schedule, cfg.batch)]
+    assert sorted(drawn_indices) == list(range(400))
 
 
 def test_threshold_search_leaves_no_thread_behind():
@@ -270,9 +282,9 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
     drawn = []
     draw = experiments.draw_source_block
 
-    def spying(spec, seed, first_index, count):
-        drawn.append((first_index, threading.get_ident()))
-        return draw(spec, seed, first_index, count)
+    def spying(spec, seed, first_index, count, **kwargs):
+        drawn.append((first_index, first_index + count, threading.get_ident()))
+        return draw(spec, seed, first_index, count, **kwargs)
 
     computed_on = []
     intensities = GhostPipeline.intensities
@@ -281,6 +293,7 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         computed_on.append(threading.get_ident())
         return intensities(self, block)
 
+    on_cpus(monkeypatch, 2)  # so the worker draws a share of every block
     monkeypatch.setattr(experiments, "draw_source_block", spying)
     monkeypatch.setattr(GhostPipeline, "intensities", spying_intensities)
     with RecordWriter(tmp_path / "live.gidat", header) as writer:
@@ -292,25 +305,95 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         assert np.array_equal(a.samples, b.samples)
     live = (tmp_path / "live.gidat").read_bytes()
     assert live == (tmp_path / "serial.gidat").read_bytes()
-    # every block is drawn once, in order, on the calling thread, and every
-    # batch is computed on the one worker thread
-    assert drawn == [(a, threading.get_ident()) for a, _ in bounds]
+    # every batch is computed on the one worker thread
+    caller = threading.get_ident()
     assert len(computed_on) == len(bounds)
-    assert len(set(computed_on)) == 1 and computed_on[0] != threading.get_ident()
+    assert len(set(computed_on)) == 1 and computed_on[0] != caller
+    # every realization is drawn exactly once: the calling thread draws the
+    # head of every block and the worker its tail, each thread in index order
+    assert sorted(i for lo, hi, _ in drawn for i in range(lo, hi)) == list(range(777))
+    cuts = [worker_cut(a, b) for a, b in bounds]
+    assert [(lo, hi) for lo, hi, on in drawn if on == caller] == [
+        (a, cut) for (a, _), cut in zip(bounds, cuts)]
+    assert [(lo, hi, on) for lo, hi, on in drawn if on != caller] == [
+        (cut, b, computed_on[0]) for (_, b), cut in zip(bounds, cuts) if cut < b]
+
+
+def test_a_one_cpu_run_draws_on_the_calling_thread_and_is_byte_equal(tmp_path, monkeypatch):
+    cfg = small_config(schedule=(200, 500, 777), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    draw = experiments.draw_source_block
+    drawn_on = []
+
+    def spying(spec, seed, first_index, count, **kwargs):
+        drawn_on.append(threading.get_ident())
+        return draw(spec, seed, first_index, count, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_source_block", spying)
+    runs = {}
+    for cpus in (2, 1):
+        on_cpus(monkeypatch, cpus)
+        drawn_on.clear()
+        with RecordWriter(tmp_path / f"{cpus}.gidat", record_header_for(cfg)) as writer:
+            res = run_converge(cfg, record_writer=writer, pipeline=pipe)
+        runs[cpus] = res, set(drawn_on)
+    (two, two_threads), (one, one_threads) = runs[2], runs[1]
+    assert len(two_threads) == 2
+    assert one_threads == {threading.get_ident()}  # the worker's share is no row
+    assert one.curve == two.curve
+    for (n1, a), (n2, b) in zip(one.snapshots, two.snapshots):
+        assert n1 == n2 and a.samples.tobytes() == b.samples.tobytes()
+    assert (tmp_path / "1.gidat").read_bytes() == (tmp_path / "2.gidat").read_bytes()
+
+
+def test_the_worker_share_follows_the_cpus_the_process_may_use(monkeypatch):
+    on_cpus(monkeypatch, 1)
+    assert experiments._worker_draw_share() == 0.0
+    on_cpus(monkeypatch, 2)
+    assert experiments._worker_draw_share() == experiments._WORKER_DRAW_SHARE
+    assert 0.0 < experiments._WORKER_DRAW_SHARE < 0.5
+    # without sched_getaffinity the count of the machine's CPUs decides
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    for cpus, share in [(None, 0.0), (1, 0.0), (4, experiments._WORKER_DRAW_SHARE)]:
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments._worker_draw_share() == share
 
 
 def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
     draw = experiments.draw_source_block
 
-    def failing(spec, seed, first_index, count):
-        if first_index == 128:  # batch 1, drawn while the worker computes batch 0
+    def failing(spec, seed, first_index, count, **kwargs):
+        if first_index == 128:  # batch 1's first rows, drawn while the worker computes batch 0
             raise RuntimeError("draw failed")
-        return draw(spec, seed, first_index, count)
+        return draw(spec, seed, first_index, count, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_source_block", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
         run_converge(small_config(schedule=(200, 500), batch=128))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["pulled-by-the-fold", "drawn-ahead"])
+def test_a_failing_draw_on_the_worker_raises_from_run_converge(monkeypatch, block):
+    on_cpus(monkeypatch, 2)
+    cfg = small_config(schedule=(200, 500), batch=128)
+    a, b = batch_bounds(500, cfg.schedule, cfg.batch)[block]
+    caller = threading.get_ident()
+    failed_at = []
+    draw = experiments.draw_source_block
+
+    def failing(spec, seed, first_index, count, **kwargs):
+        if a <= first_index < b and threading.get_ident() != caller:
+            failed_at.append(first_index)
+            raise RuntimeError("draw failed")
+        return draw(spec, seed, first_index, count, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_source_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_converge(cfg)
+    assert failed_at == [worker_cut(a, b)]
     assert threading.active_count() == before
 
 

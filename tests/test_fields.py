@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -290,3 +291,78 @@ def test_batch_draw_concurrent_threads_match_serial():
             assert not t.is_alive()
         for a, b in zip(serial, got):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make_spec", [_slit_spec, _disk_spec], ids=["slit", "disk"])
+def test_a_block_drawn_in_two_parts_on_two_threads_equals_one_draw(make_spec):
+    spec = make_spec(4.0)
+    count, first, seed = 33, 2**40 + 5, 7
+    whole = draw_source_block(spec, seed, first, count)
+    for split in (0, 1, count // 2, count):
+        for head_on_thread in (False, True):
+            block = np.full_like(whole, np.nan)
+            head = lambda: draw_source_block(spec, seed, first, split, out=block[:split])
+            tail = lambda: draw_source_block(spec, seed, first + split, count - split,
+                                             out=block[split:])
+            other = threading.Thread(target=head if head_on_thread else tail)
+            other.start()
+            got = (tail if head_on_thread else head)()
+            other.join(timeout=60)
+            assert not other.is_alive()
+            assert got.base is block
+            assert block.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.empty((4, 100), dtype=np.complex128),  # one row too many
+        np.empty((3, 99), dtype=np.complex128),  # one pixel short
+        np.empty((3, 100), dtype=np.complex64),
+        np.empty((3, 200), dtype=np.float64),  # the parts, not complex samples
+        np.empty((100, 3), dtype=np.complex128).T,  # not C-contiguous
+        np.empty((3, 200), dtype=np.complex128)[:, ::2],
+        np.zeros((3, 100), dtype=np.complex128).tolist(),
+    ],
+    ids=["rows", "pixels", "complex64", "float64", "transposed", "strided", "list"],
+)
+def test_draw_into_a_bad_out_is_refused(bad):
+    spec = _slit_spec()
+    assert spec.aperture_indices.size == 100
+    with pytest.raises(ValueError, match="out must be"):
+        draw_source_block(spec, 1, 0, 3, out=bad)
+
+
+def test_draw_into_a_read_only_out_is_refused():
+    frozen = np.zeros((3, 100), dtype=np.complex128)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be"):
+        draw_source_block(_slit_spec(), 1, 0, 3, out=frozen)
+    assert not frozen.any()
+
+
+def test_more_threads_than_cores_fill_disjoint_rows_of_one_block():
+    # four threads on a short switch interval, each drawing every fourth run of rows
+    spec = _disk_spec()
+    count, first, seed = 64, 9, 3
+    whole = draw_source_block(spec, seed, first, count)
+    runs = [(lo, lo + 4) for lo in range(0, count, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            block = np.full_like(whole, np.nan)
+
+            def work(k):
+                for lo, hi in runs[k::4]:
+                    draw_source_block(spec, seed, first + lo, hi - lo, out=block[lo:hi])
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert block.tobytes() == whole.tobytes()
+    finally:
+        sys.setswitchinterval(interval)

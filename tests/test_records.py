@@ -12,6 +12,7 @@ from ghostsim.records import (
     RecordWriter,
     open_records,
     read_batches,
+    record_rows,
 )
 
 
@@ -202,3 +203,42 @@ def test_read_batches_past_the_body_raise(tmp_path):
     next(batches)
     with pytest.raises(RecordFormatError, match="ends after 5"):
         next(batches)
+
+
+def test_record_rows_finds_the_block_behind_two_column_views():
+    buffer = np.arange(7 * 9, dtype=np.float64).reshape(7, 9)
+    for rows in (buffer, buffer[2:6], buffer[6:], buffer[3:3]):
+        block = record_rows(rows[:, 0], rows[:, 1:])
+        assert block is not None
+        assert block.shape == rows.shape and block.ctypes.data == rows.ctypes.data
+        assert block.flags.c_contiguous
+    other = np.zeros_like(buffer)
+    for i1, i2 in [
+        (buffer[:, 0].copy(), buffer[:, 1:]),  # a copy
+        (buffer[:, 0], buffer[:, 1:].copy()),
+        (buffer[:, 1], buffer[:, 2:]),  # not column 0 of a record row
+        (buffer[:, 0], other[:, 1:]),  # two blocks
+        (buffer[:4, 0], buffer[1:5, 1:]),  # rows that do not line up
+        (buffer[::2, 0], buffer[::2, 1:]),  # every other row
+        (np.ones(7), np.ones((7, 8))),
+    ]:
+        assert record_rows(i1, i2) is None
+
+
+def test_append_writes_record_row_views_as_they_are(tmp_path):
+    points, n = 256, 64
+    buffer = np.random.default_rng(3).exponential(size=(n + 5, 1 + points))
+    rows = buffer[2 : 2 + n]
+    with RecordWriter(tmp_path / "views.gidat", make_header(points=points)) as w:
+        tracemalloc.start()
+        try:
+            w.append(rows[:, 0], rows[:, 1:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    with RecordWriter(tmp_path / "copies.gidat", make_header(points=points)) as w:
+        w.append(rows[:, 0].copy(), rows[:, 1:].copy())
+    views = (tmp_path / "views.gidat").read_bytes()
+    assert views == (tmp_path / "copies.gidat").read_bytes()
+    assert views[HEADER_SIZE:] == rows.tobytes()
+    assert peak < rows.nbytes // 8  # the block is written, not copied first
