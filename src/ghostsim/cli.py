@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         else:
             _COMMANDS[args.command](args, configs[0], out)
         return 0
-    except (ConfigError, GeometryError, RecordFormatError, FileNotFoundError) as exc:
+    except (ConfigError, GeometryError, RecordFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

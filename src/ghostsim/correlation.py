@@ -75,8 +75,9 @@ class CorrelationAccumulator:
         rounding; the batch is reduced with fixed-shape numpy sums, then the
         three batch totals enter the compensated accumulators.  The batch is
         checked in the same pass: a minimum below zero (or NaN) catches
-        negative, NaN and -inf intensities, and a sum that is not finite
-        catches +inf.  A rejected batch leaves the sums untouched.
+        negative, NaN and -inf intensities, and a sum that is not finite, the
+        cross sum included, catches +inf and overflow.  A rejected batch
+        leaves the sums untouched.
         """
         i1 = np.asarray(i1, dtype=np.float64)
         i2 = np.asarray(i2, dtype=np.float64)
@@ -90,11 +91,12 @@ class CorrelationAccumulator:
         ok = all(part.min(initial=0.0) >= 0.0 for part in parts)
         s1 = float(i1.sum())
         s2 = i2.sum(axis=0)
-        if not (ok and np.isfinite(s1) and np.isfinite(s2).all()):
-            _check_batch(i1, i2)  # raises naming the bad value, if there is one
-            raise ValueError("batch sums overflow")
         # a 2D grid (speckle) folds as (B, pixels); the reshape is a view
         s12 = np.ascontiguousarray(i1) @ i2.reshape(n, s2.size)
+        if not (ok and np.isfinite(s1) and np.isfinite(s2).all()
+                and np.isfinite(s12).all()):
+            _check_batch(i1, i2)  # raises naming the bad value, if there is one
+            raise ValueError("batch sums overflow")
         self._add(s1, s2, s12.reshape(s2.shape), n)
 
     def copy(self) -> "CorrelationAccumulator":

@@ -19,10 +19,11 @@ Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
 and the batch size alone) are folded in index order into one accumulator on
 the calling thread, which is scored at each scheduled N.  Live runs, replay,
 threshold search and speckle differ only in where the batches come from.
-Live runs overlap two batches, and both threads draw every source block:
-one worker thread computes the intensities of batch k and then draws a third
-of the rows of block k + 1, while the calling thread draws the rest of that
-block, then records, folds and scores batch k.  Every row comes from its own
+Live runs and speckle share one producer, ``_live_batches``, which overlaps
+two batches, and both threads draw every source block: one worker thread
+computes the intensities of batch k and then draws the last third of the
+rows of block k + 1, while the calling thread draws the rest of that block,
+then records, folds and scores batch k.  Every row comes from its own
 re-keyed stream, so which thread draws it changes no number.  Nothing is
 drawn ahead past a checkpoint, and the numbers, and their order, do not
 change.
@@ -31,10 +32,8 @@ change.
 from __future__ import annotations
 
 import dataclasses
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -69,9 +68,6 @@ from .records import RecordHeader, RecordWriter, open_records, read_batches
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
-# The share of each live block's rows that the worker thread draws after it
-# has computed the previous batch's intensities (see ``_live_batches``).
-_WORKER_DRAW_SHARE = Fraction(1, 3)
 
 
 @dataclass(eq=False)
@@ -219,32 +215,22 @@ def fold_checkpoints(
             yield acc.count, acc.copy()
 
 
-def _worker_draw_share() -> Fraction:
-    """The share of each block's rows the worker draws: none on one CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return _WORKER_DRAW_SHARE if cpus >= 2 else Fraction(0)
-
-
-def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
-                  record_writer: RecordWriter | None):
-    """The intensity batches over ``bounds``, in order.
+def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks,
+                  index_base: int, record_writer: RecordWriter | None = None):
+    """The batches ``intensities(block)`` makes of the blocks over ``bounds``.
 
     Both threads draw every block, into one of two reused buffers.  The one
     worker thread computes the intensities of batch k and then draws the last
-    ``_WORKER_DRAW_SHARE`` of the rows of block k + 1, while the calling
+    third, ``(b - a) // 3``, of the rows of block k + 1, while the calling
     thread draws the rest of that block; the calling thread then waits for
     the worker, records batch k and hands it to the fold.  The worker's share
-    is under half because it computes the intensities too; on a host with
-    one CPU it is zero, and the calling thread draws every row.  After a
-    batch that ends at a mark nothing is drawn ahead: the next block is drawn
-    when the fold pulls it, by both threads at once, so a search that stops
-    at a mark draws nothing it does not fold.
+    is under half because it computes the intensities too; it is the same on
+    a host with one CPU.  After a batch that ends at a mark nothing is drawn
+    ahead: the next block is drawn when the fold pulls it, by both threads at
+    once, so a search that stops at a mark draws nothing it does not fold.
+    Batch k + 1 is computed once the fold pulls it, so ``intensities`` may
+    reuse its output buffers.
     """
-    spec, seed = pipeline.source_spec, pipeline.config.seed
-    share = _worker_draw_share()
     longest = max(b - a for a, b in bounds)
     blocks = [np.empty((longest, spec.aperture_indices.size), dtype=np.complex128)
               for _ in range(2)]
@@ -252,7 +238,7 @@ def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
     def draw(k: int, worker_rows: bool) -> None:
         """Draw the worker's or the calling thread's rows of block k."""
         a, b = bounds[k]
-        cut = b - int((b - a) * share)  # the worker draws [cut, b)
+        cut = b - (b - a) // 3  # the worker draws [cut, b)
         lo, hi = (cut, b) if worker_rows else (a, cut)
         if hi > lo:
             draw_source_block(spec, seed, index_base + lo, hi - lo,
@@ -260,7 +246,7 @@ def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
 
     def compute(k: int, ahead: bool) -> tuple[np.ndarray, np.ndarray]:
         a, b = bounds[k]
-        batch = pipeline.intensities(blocks[k % 2][: b - a])
+        batch = intensities(blocks[k % 2][: b - a])
         if ahead:
             draw(k + 1, worker_rows=True)
         return batch
@@ -269,10 +255,9 @@ def _live_batches(pipeline: GhostPipeline, bounds, marks, index_base: int,
         ahead = False
         for k, (_, b) in enumerate(bounds):
             if not ahead:  # block k was not drawn ahead: both threads draw it now
-                theirs = worker.submit(draw, k, True) if share else None
+                theirs = worker.submit(draw, k, True)
                 draw(k, worker_rows=False)
-                if theirs is not None:
-                    theirs.result()
+                theirs.result()
             ahead = b not in marks
             pending = worker.submit(compute, k, ahead)
             if ahead:
@@ -295,7 +280,8 @@ def iter_checkpoints(
     """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint."""
     schedule = tuple(int(n) for n in schedule)
     bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
-    batches = _live_batches(pipeline, bounds, set(schedule), index_base, record_writer)
+    batches = _live_batches(pipeline.source_spec, pipeline.config.seed, pipeline.intensities,
+                            bounds, set(schedule), index_base, record_writer)
     return fold_checkpoints(pipeline.detector_grid, batches, schedule)
 
 
@@ -425,10 +411,11 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     For each aperture: N realizations are propagated on the 2D grid, the
     scalar channel is the intensity at the pixel nearest the axis, and the
     normalized covariance against that pixel estimates the squared coherence
-    factor, whose width is compared to wavelength * d1 / aperture.  Only
-    intensities are needed, so each batch is the compact in-aperture block
-    times its entries of ``fft_chirp``, scattered onto the grid, through one
-    ``fft2`` and |.|^2.
+    factor, whose width is compared to wavelength * d1 / aperture.  The
+    batches come from ``_live_batches``, as in a live run.  Only intensities
+    are needed, so each batch is the compact in-aperture block times its
+    entries of ``fft_chirp``, scattered onto the grid, through one ``fft2``
+    and |.|^2; the snapshot is the first realization.
     """
     grid_in = config.speckle_grid()
     # refuse a too-wide or empty aperture before any field is drawn
@@ -440,10 +427,10 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     ref_index = (grid_out.index_of(0.0, 0), grid_out.index_of(0.0, 1))
     m = config.speckle_points
     per_batch = max(1, 4_194_304 // (m * m))
-    bounds = batch_bounds(config.speckle_n, (config.speckle_n,), per_batch)
+    schedule = (config.speckle_n,)
+    bounds = batch_bounds(config.speckle_n, schedule, per_batch)
     out: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
-        index_base = k * _STREAM_STRIDE
         inside = spec.aperture_indices
         weights = chirp[inside]
         # sized by the first, longest batch; only the in-aperture columns are
@@ -452,21 +439,22 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         power = np.empty((bounds[0][1], m, m))
         snapshot: RealPattern | None = None
 
-        def batches():
+        def intensities(block):
             nonlocal snapshot
-            for a, b in bounds:
-                block = draw_source_block(spec, config.seed, index_base + a, b - a)
-                block *= weights
-                fields[: b - a, inside] = block
-                amps = np.fft.fft2(fields[: b - a].reshape(b - a, m, m))
-                # re*re + im*im, rounded as the plain expression, into one buffer
-                i2 = np.multiply(amps.real, amps.real, out=power[: b - a])
-                i2 += np.multiply(amps.imag, amps.imag, out=amps.imag)
-                if snapshot is None:
-                    snapshot = RealPattern(grid_out, i2[0].copy())
-                yield i2[:, ref_index[0], ref_index[1]], i2
+            b = len(block)
+            block *= weights
+            fields[:b, inside] = block
+            amps = np.fft.fft2(fields[:b].reshape(b, m, m))
+            # re*re + im*im, rounded as the plain expression, into one buffer
+            i2 = np.multiply(amps.real, amps.real, out=power[:b])
+            i2 += np.multiply(amps.imag, amps.imag, out=amps.imag)
+            if snapshot is None:  # before the fold pulls the next batch into power
+                snapshot = RealPattern(grid_out, i2[0].copy())
+            return i2[:, ref_index[0], ref_index[1]], i2
 
-        (_, acc), = fold_checkpoints(grid_out, batches(), (config.speckle_n,))
+        batches = _live_batches(spec, config.seed, intensities, bounds, set(schedule),
+                                k * _STREAM_STRIDE)
+        (_, acc), = fold_checkpoints(grid_out, batches, schedule)
         cmap = coherence_map(acc)
         half = 64
         fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))

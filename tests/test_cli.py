@@ -424,6 +424,8 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["converge", "--config", "narrow.cfg"],  # window too narrow for the bands
         ["converge", "--config", "nan.cfg"],  # sigma2 = nan
         ["converge", "--config", "empty.cfg"],  # aperture holds no source pixel
+        ["replay", "--records", "."],  # the records path is a directory
+        ["converge", "--out-dir", "short.txt"],  # the output directory is a file
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):

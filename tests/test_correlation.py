@@ -95,6 +95,20 @@ def test_fold_batch_refuses_bad_values_in_record_row_views(bad, column):
     assert acc.count == before[0] + 3
 
 
+def test_fold_batch_refuses_an_overflowing_cross_sum_and_keeps_sums():
+    # every value and both plain sums are finite; only i1 @ i2 = 2e400 overflows
+    acc = CorrelationAccumulator(make_grid(1, 3, 1e-6))
+    acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    rows = np.full((2, 4), 1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        acc.fold_batch(rows[:, 0], rows[:, 1:])
+    assert acc.count == before[0]
+    assert acc.sum1 == before[1]
+    assert np.array_equal(acc.sum2, before[2])
+    assert np.array_equal(acc.sum12, before[3])
+
+
 positive = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 

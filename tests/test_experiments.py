@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ghostsim.analysis import normalize_unit, pattern_errors, rms_error
 from ghostsim.config import ExperimentConfig
+from ghostsim.correlation import coherence_map
 from ghostsim import experiments
 from ghostsim.errors import ConfigError, GeometryError, RecordFormatError
 from ghostsim.experiments import (
@@ -20,9 +21,21 @@ from ghostsim.experiments import (
     run_speckle,
     run_threshold,
 )
-from ghostsim.fields import RngStream, draw_source_samples, sample_source
+from ghostsim.fields import (
+    RngStream,
+    SourceSpec,
+    draw_source_block,
+    draw_source_samples,
+    sample_source,
+)
 from ghostsim.objects import apply_mask, double_slit
-from ghostsim.propagation import fresnel_kernel, propagate, propagate_to_point
+from ghostsim.propagation import (
+    fft_chirp,
+    fft_output_grid,
+    fresnel_kernel,
+    propagate,
+    propagate_to_point,
+)
 from ghostsim.records import RecordWriter
 from ghostsim.analysis import split_bands
 
@@ -225,15 +238,9 @@ def drawn_indices(monkeypatch):
     return indices
 
 
-def on_cpus(monkeypatch, count):
-    """Let a live run see ``count`` CPUs, which sets the worker's share of each draw."""
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 def worker_cut(a, b):
-    """The first row of block [a, b) that the worker draws on a host with two CPUs."""
-    return b - int((b - a) * experiments._WORKER_DRAW_SHARE)
+    """The first row of block [a, b) that the worker thread draws."""
+    return b - (b - a) // 3
 
 
 def test_threshold_search_draws_nothing_past_the_crossing(drawn_indices):
@@ -293,7 +300,6 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         computed_on.append(threading.get_ident())
         return intensities(self, block)
 
-    on_cpus(monkeypatch, 2)  # so the worker draws a share of every block
     monkeypatch.setattr(experiments, "draw_source_block", spying)
     monkeypatch.setattr(GhostPipeline, "intensities", spying_intensities)
     with RecordWriter(tmp_path / "live.gidat", header) as writer:
@@ -319,46 +325,6 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         (cut, b, computed_on[0]) for (_, b), cut in zip(bounds, cuts) if cut < b]
 
 
-def test_a_one_cpu_run_draws_on_the_calling_thread_and_is_byte_equal(tmp_path, monkeypatch):
-    cfg = small_config(schedule=(200, 500, 777), batch=128)
-    pipe = GhostPipeline.from_config(cfg)
-    draw = experiments.draw_source_block
-    drawn_on = []
-
-    def spying(spec, seed, first_index, count, **kwargs):
-        drawn_on.append(threading.get_ident())
-        return draw(spec, seed, first_index, count, **kwargs)
-
-    monkeypatch.setattr(experiments, "draw_source_block", spying)
-    runs = {}
-    for cpus in (2, 1):
-        on_cpus(monkeypatch, cpus)
-        drawn_on.clear()
-        with RecordWriter(tmp_path / f"{cpus}.gidat", record_header_for(cfg)) as writer:
-            res = run_converge(cfg, record_writer=writer, pipeline=pipe)
-        runs[cpus] = res, set(drawn_on)
-    (two, two_threads), (one, one_threads) = runs[2], runs[1]
-    assert len(two_threads) == 2
-    assert one_threads == {threading.get_ident()}  # the worker's share is no row
-    assert one.curve == two.curve
-    for (n1, a), (n2, b) in zip(one.snapshots, two.snapshots):
-        assert n1 == n2 and a.samples.tobytes() == b.samples.tobytes()
-    assert (tmp_path / "1.gidat").read_bytes() == (tmp_path / "2.gidat").read_bytes()
-
-
-def test_the_worker_share_follows_the_cpus_the_process_may_use(monkeypatch):
-    on_cpus(monkeypatch, 1)
-    assert experiments._worker_draw_share() == 0.0
-    on_cpus(monkeypatch, 2)
-    assert experiments._worker_draw_share() == experiments._WORKER_DRAW_SHARE
-    assert 0.0 < experiments._WORKER_DRAW_SHARE < 0.5
-    # without sched_getaffinity the count of the machine's CPUs decides
-    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-    for cpus, share in [(None, 0.0), (1, 0.0), (4, experiments._WORKER_DRAW_SHARE)]:
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        assert experiments._worker_draw_share() == share
-
-
 def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
     draw = experiments.draw_source_block
 
@@ -376,7 +342,6 @@ def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
 
 @pytest.mark.parametrize("block", [0, 1], ids=["pulled-by-the-fold", "drawn-ahead"])
 def test_a_failing_draw_on_the_worker_raises_from_run_converge(monkeypatch, block):
-    on_cpus(monkeypatch, 2)
     cfg = small_config(schedule=(200, 500), batch=128)
     a, b = batch_bounds(500, cfg.schedule, cfg.batch)[block]
     caller = threading.get_ident()
@@ -558,6 +523,61 @@ def test_speckle_survey_smoke():
     # halving the aperture doubles the coherence scale, so widths must grow
     assert points[1].fwhm_axis0 > points[0].fwhm_axis0
     assert points[1].fwhm_axis1 > points[0].fwhm_axis1
+
+
+def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch):
+    # run_speckle's batch at 48 px is 4_194_304 // 48**2 = 1820 realizations,
+    # so 2000 cuts into 0-1820 | 1820-2000: a short last batch
+    cfg = ExperimentConfig(
+        speckle_points=48,
+        speckle_pitch=40e-6,
+        speckle_phi_list=(5e-4, 2.5e-4),
+        speckle_n=2000,
+        write_records=False,
+    )
+    m, n = cfg.speckle_points, cfg.speckle_n
+    bounds = batch_bounds(n, (n,), 4_194_304 // (m * m))
+    assert len(bounds) == 2 and bounds[-1][1] - bounds[-1][0] < bounds[0][1]
+    grid_in = cfg.speckle_grid()
+    grid_out = fft_output_grid(grid_in, cfg.d1, cfg.wavelength)
+    chirp = fft_chirp(grid_in, cfg.d1, cfg.wavelength).ravel()
+    r0, r1 = grid_out.index_of(0.0, 0), grid_out.index_of(0.0, 1)
+
+    def serial(spec, index_base):
+        inside = spec.aperture_indices
+        for a, b in bounds:
+            fields = np.zeros((b - a, m * m), dtype=np.complex128)
+            fields[:, inside] = draw_source_block(spec, cfg.seed, index_base + a, b - a) \
+                * chirp[inside]
+            amps = np.fft.fft2(fields.reshape(b - a, m, m))
+            i2 = amps.real * amps.real + amps.imag * amps.imag
+            yield i2[:, r0, r1], i2
+
+    live = experiments._live_batches
+    computed_on, bounds_seen = [], []
+
+    def spying(spec, seed, intensities, run_bounds, *args):
+        def spied(block):
+            computed_on.append(threading.get_ident())
+            return intensities(block)
+        bounds_seen.append(run_bounds)
+        return live(spec, seed, spied, run_bounds, *args)
+
+    monkeypatch.setattr(experiments, "_live_batches", spying)
+    before = threading.active_count()
+    points = run_speckle(cfg)
+    assert threading.active_count() == before
+    assert bounds_seen == [bounds, bounds]
+    assert len(computed_on) == 2 * len(bounds)
+    assert threading.get_ident() not in computed_on
+
+    for k, (phi, p) in enumerate(zip(cfg.speckle_phi_list, points)):
+        spec = SourceSpec(grid_in, phi, cfg.sigma2)
+        batches = list(serial(spec, k * experiments._STREAM_STRIDE))
+        (_, acc), = experiments.fold_checkpoints(grid_out, batches, (n,))
+        want = coherence_map(acc)
+        assert p.coherence.samples.tobytes() == want.samples.tobytes()
+        assert p.snapshot.samples.tobytes() == batches[0][1][0].tobytes()
 
 
 def test_speckle_refuses_a_too_wide_aperture_before_any_draw(monkeypatch):
