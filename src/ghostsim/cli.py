@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_values, load_config, parse_value
-from .errors import ConfigError, GeometryError, RecordFormatError
+from .errors import BatchRangeError, ConfigError, GeometryError, RecordFormatError
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         else:
             _COMMANDS[args.command](args, configs[0], out)
         return 0
-    except (ConfigError, GeometryError, RecordFormatError, OSError) as exc:
+    except (BatchRangeError, ConfigError, GeometryError, RecordFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientSamplesError
+from .errors import BatchRangeError, GridMismatchError, InsufficientSamplesError
 from .fields import RealPattern
 from .grids import Grid
 from .records import record_rows
@@ -30,9 +30,9 @@ def _two_sum(a, b):
 
 def _check_batch(i1, i2):
     if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
-        raise ValueError("intensities must be finite")
+        raise BatchRangeError("intensities must be finite")
     if np.any(i1 < 0.0) or np.any(i2 < 0.0):
-        raise ValueError("negative intensity rejected")
+        raise BatchRangeError("negative intensity rejected")
 
 
 class CorrelationAccumulator:
@@ -57,27 +57,19 @@ class CorrelationAccumulator:
         self._c12 += e12
         self.count += n
 
-    def update(self, i1: float, i2: RealPattern) -> None:
-        """Fold one realization (scalar i1, pattern i2) into the sums."""
-        if i2.grid != self.grid:
-            raise GridMismatchError("pattern grid does not match accumulator grid")
-        v = i2.samples
-        _check_batch(np.asarray(i1), v)
-        self._add(float(i1), v, float(i1) * v, 1)
-
     def fold_batch(self, i1: np.ndarray, i2: np.ndarray) -> None:
         """Fold a batch: i1 shape (B,), i2 shape (B, *grid.shape).
 
         Live runs and replay pass the two column views of one C-ordered
         (B, 1 + P) record block.  They are reduced where they lie: i2 enters
         the GEMV as a matrix with leading dimension 1 + P, and is not copied.
-        Equivalent to updating realization by realization up to float
-        rounding; the batch is reduced with fixed-shape numpy sums, then the
-        three batch totals enter the compensated accumulators.  The batch is
+        Equivalent to folding one-row batches up to float rounding; the
+        batch is reduced with fixed-shape numpy sums, then the three batch
+        totals enter the compensated accumulators.  The batch is
         checked in the same pass: a minimum below zero (or NaN) catches
         negative, NaN and -inf intensities, and a sum that is not finite, the
         cross sum included, catches +inf and overflow.  A rejected batch
-        leaves the sums untouched.
+        raises ``BatchRangeError`` and leaves the sums untouched.
         """
         i1 = np.asarray(i1, dtype=np.float64)
         i2 = np.asarray(i2, dtype=np.float64)
@@ -96,7 +88,7 @@ class CorrelationAccumulator:
         if not (ok and np.isfinite(s1) and np.isfinite(s2).all()
                 and np.isfinite(s12).all()):
             _check_batch(i1, i2)  # raises naming the bad value, if there is one
-            raise ValueError("batch sums overflow")
+            raise BatchRangeError("batch sums overflow float64")
         self._add(s1, s2, s12.reshape(s2.shape), n)
 
     def copy(self) -> "CorrelationAccumulator":

@@ -17,6 +17,10 @@ class DegeneratePatternError(ValueError):
     """A constant pattern cannot be normalized to unit range."""
 
 
+class BatchRangeError(ValueError):
+    """A batch of intensities is negative or not finite, or its sums overflow."""
+
+
 class NoPeakError(ValueError):
     """Half-width search found no interior maximum or no half crossings."""
 

@@ -21,17 +21,18 @@ the calling thread, which is scored at each scheduled N.  Live runs, replay,
 threshold search and speckle differ only in where the batches come from.
 Live runs and speckle share one producer, ``_live_batches``, which overlaps
 two batches, and both threads draw every source block: one worker thread
-computes the intensities of batch k and then draws the last third of the
-rows of block k + 1, while the calling thread draws the rest of that block,
-then records, folds and scores batch k.  Every row comes from its own
-re-keyed stream, so which thread draws it changes no number.  Nothing is
-drawn ahead past a checkpoint, and the numbers, and their order, do not
-change.
+computes the intensities of batch k and then claims rows of block k + 1
+from the tail of one deque, the calling thread from its head; the calling
+thread then folds, scores and records batch k.  Every row comes from its
+own re-keyed stream, so which thread draws it, which varies from run to
+run, changes no number.  Nothing is drawn ahead past a checkpoint, and the
+numbers, and their order, do not change.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -219,54 +220,51 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks,
                   index_base: int, record_writer: RecordWriter | None = None):
     """The batches ``intensities(block)`` makes of the blocks over ``bounds``.
 
-    Both threads draw every block, into one of two reused buffers.  The one
-    worker thread computes the intensities of batch k and then draws the last
-    third, ``(b - a) // 3``, of the rows of block k + 1, while the calling
-    thread draws the rest of that block; the calling thread then waits for
-    the worker, records batch k and hands it to the fold.  The worker's share
-    is under half because it computes the intensities too; it is the same on
-    a host with one CPU.  After a batch that ends at a mark nothing is drawn
-    ahead: the next block is drawn when the fold pulls it, by both threads at
-    once, so a search that stops at a mark draws nothing it does not fold.
-    Batch k + 1 is computed once the fold pulls it, so ``intensities`` may
-    reuse its output buffers.
+    Both threads draw every block, into one of two reused buffers, claiming
+    its row offsets from one deque: the calling thread from the head, the one
+    worker thread from the tail, so the split follows what each has time
+    for.  The worker computes the intensities of batch k and then claims rows
+    of block k + 1, while the calling thread claims them from the first on;
+    it then waits for the worker, hands batch k to the fold and records it
+    once the fold has accepted it.  After a batch that ends at a mark nothing
+    is drawn ahead: both threads draw the next block when the fold pulls it,
+    so a search that stops at a mark draws nothing it does not fold.  Batch
+    k + 1 is computed once the fold pulls it, so ``intensities`` may reuse its
+    output buffers.
     """
-    longest = max(b - a for a, b in bounds)
-    blocks = [np.empty((longest, spec.aperture_indices.size), dtype=np.complex128)
+    sizes = [b - a for a, b in bounds]
+    blocks = [np.empty((max(sizes), spec.aperture_indices.size), dtype=np.complex128)
               for _ in range(2)]
 
-    def draw(k: int, worker_rows: bool) -> None:
-        """Draw the worker's or the calling thread's rows of block k."""
-        a, b = bounds[k]
-        cut = b - (b - a) // 3  # the worker draws [cut, b)
-        lo, hi = (cut, b) if worker_rows else (a, cut)
-        if hi > lo:
-            draw_source_block(spec, seed, index_base + lo, hi - lo,
-                              out=blocks[k % 2][lo - a : hi - a])
+    def draw(k: int, claim) -> None:
+        """Draw the rows of block k that ``claim`` hands out."""
+        draw_source_block(spec, seed, index_base + bounds[k][0], sizes[k],
+                          out=blocks[k % 2][: sizes[k]], claim=claim)
 
-    def compute(k: int, ahead: bool) -> tuple[np.ndarray, np.ndarray]:
-        a, b = bounds[k]
-        batch = intensities(blocks[k % 2][: b - a])
-        if ahead:
-            draw(k + 1, worker_rows=True)
+    def compute(k: int, next_rows: deque | None) -> tuple[np.ndarray, np.ndarray]:
+        batch = intensities(blocks[k % 2][: sizes[k]])
+        if next_rows is not None:
+            draw(k + 1, next_rows.pop)
         return batch
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = False
         for k, (_, b) in enumerate(bounds):
             if not ahead:  # block k was not drawn ahead: both threads draw it now
-                theirs = worker.submit(draw, k, True)
-                draw(k, worker_rows=False)
+                rows = deque(range(sizes[k]))
+                theirs = worker.submit(draw, k, rows.pop)
+                draw(k, rows.popleft)
                 theirs.result()
             ahead = b not in marks
-            pending = worker.submit(compute, k, ahead)
+            rows = deque(range(sizes[k + 1])) if ahead else None
+            pending = worker.submit(compute, k, rows)
             if ahead:
-                draw(k + 1, worker_rows=False)
+                draw(k + 1, rows.popleft)
             i1, i2 = pending.result()
             del pending  # the Future holds the batch too
-            if record_writer is not None:
-                record_writer.append(i1, i2)
             yield i1, i2
+            if record_writer is not None:  # the fold has accepted batch k
+                record_writer.append(i1, i2)
             del i1, i2
 
 

@@ -10,6 +10,7 @@ drawn at all.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,7 +131,8 @@ class SourceSpec:
 
 
 def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
-                      count: int, *, out: np.ndarray | None = None) -> np.ndarray:
+                      count: int, *, out: np.ndarray | None = None,
+                      claim=None) -> np.ndarray:
     """Realizations first_index, ..., first_index + count - 1 as a compact block.
 
     Returns a C-ordered (count, n_in) complex128 array holding only the
@@ -143,9 +145,11 @@ def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
 
     With ``out``, a writeable C-contiguous (count, n_in) complex128 array such
     as a run of rows of a larger block, the rows are drawn into it and it is
-    returned; any other ``out`` raises ``ValueError``.  Every call keys its
-    own Philox, so threads may fill disjoint rows of one block at the same
-    time, and row j is the same whichever thread fills it.
+    returned; any other ``out`` raises ``ValueError``.  With ``claim``, such
+    as a ``deque.popleft`` of row offsets, only the rows it hands out until
+    it raises IndexError are drawn, and scaled, each on its own: threads may
+    fill disjoint rows of one block at the same time, and row j is the same
+    whichever thread fills it.  Without it every row is drawn, in order.
     """
     if first_index < 0:
         raise ValueError("first_index must be >= 0")
@@ -159,28 +163,30 @@ def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
     else:
         raise ValueError(f"out must be a writeable C-contiguous {shape} complex128 array")
     parts = block.view(np.float64)
+    # Scaling the float64 parts is exact per part, so sigma2 = 4 gives exactly
+    # twice the sigma2 = 1 block, and a factor of 1 changes nothing.
+    scale = np.sqrt(spec.sigma2)
     # Any seed will do: the state is replaced before every row.  A fixed one
     # spares reading OS entropy for a generator whose state is thrown away.
     bitgen = Philox(0)
     rng = Generator(bitgen)
-    key = np.zeros(2, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # buffer empty: the next draw runs Philox on counter 0
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    key[0] = seed & _MASK64
-    for r in range(count):
+    # Python ints, not uint64 arrays, which the state setter reads slower.  The
+    # buffer is empty (buffer_pos 4): the next draw runs Philox on counter 0.
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if claim is None:
+        claim = deque(range(count)).popleft
+    while True:
+        try:
+            r = claim()
+        except IndexError:  # every row is claimed
+            return block
         key[1] = (first_index + r) & _MASK64
         bitgen.state = state
-        rng.standard_normal(out=parts[r])
-    # Scaling the float64 parts is exact per part, so sigma2 = 4 gives exactly
-    # twice the sigma2 = 1 block.
-    parts *= np.sqrt(spec.sigma2)
-    return block
+        row = rng.standard_normal(out=parts[r])
+        if scale != 1.0:
+            row *= scale
 
 
 def draw_source_samples(spec: SourceSpec, stream: RngStream) -> np.ndarray:

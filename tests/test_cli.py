@@ -169,8 +169,8 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
         append(self, i1, i2)
 
     def failing(spec, seed, first_index, count, **kwargs):
-        # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500; the calling
-        # thread draws the first rows of a block, from its first index
+        # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500; both threads
+        # draw a block from its first index
         if first_index == 384:
             raise RuntimeError("draw failed")
         return draw(spec, seed, first_index, count, **kwargs)
@@ -182,7 +182,7 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
         main(["converge", "--config", str(cfg), "--out-dir", str(died)])
     monkeypatch.undo()
 
-    # batch 256-384 was computed, but its records were not yet written
+    # batch 256-384 was not folded, so its records were not written
     records = died / "records.gidat"
     assert open_records(records).n_records == sum(appended) == 256
     body = (want / "records.gidat").read_bytes()[HEADER_SIZE:]
@@ -192,6 +192,42 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
                  "--records", str(records), "--out-dir", str(again)]) == 0
     for name in ("curve.csv", "pattern_N200.csv"):
         assert (again / name).read_bytes() == (want / name).read_bytes()
+
+
+def test_an_overflowing_run_exits_2_and_records_no_refused_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, extra="sigma2 = 1e300\n")
+    assert main(["converge", "--config", str(cfg), "--schedule", "200",
+                 "--out-dir", str(out)]) == 2
+    assert "error: batch sums overflow" in capsys.readouterr().err
+    # the header counts what the file holds, and that is not the refused batch
+    records = out / "records.gidat"
+    assert open_records(records).n_records == 0
+    assert records.stat().st_size == HEADER_SIZE
+
+
+def test_a_batch_refused_partway_is_not_recorded(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    want = tmp_path / "want"
+    assert main(["converge", "--config", str(cfg), "--schedule", "200",
+                 "--out-dir", str(want)]) == 0
+    intensities = experiments.GhostPipeline.intensities
+
+    def overflowing(self, block):
+        i1, i2 = intensities(self, block)
+        if len(i1) == 56:  # batch 200-256: finite values whose cross sums overflow
+            i1[:] = 1e200
+            i2[:] = 1e200
+        return i1, i2
+
+    monkeypatch.setattr(experiments.GhostPipeline, "intensities", overflowing)
+    died = tmp_path / "died"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(died)]) == 2
+    assert "error: batch sums overflow" in capsys.readouterr().err
+    records = died / "records.gidat"
+    assert open_records(records).n_records == 200
+    body = (want / "records.gidat").read_bytes()[HEADER_SIZE:]
+    assert records.read_bytes()[HEADER_SIZE:] == body
 
 
 def test_worker_count_leaves_all_outputs_byte_identical(tmp_path):

@@ -6,22 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostsim.correlation import CorrelationAccumulator, coherence_map
-from ghostsim.errors import GridMismatchError, InsufficientSamplesError
-from ghostsim.fields import RealPattern
+from ghostsim.errors import BatchRangeError, GridMismatchError, InsufficientSamplesError
 from ghostsim.grids import make_grid
 
 GRID2 = make_grid(1, 2, 1e-6)
 
 
-def pattern2(v):
-    return RealPattern(GRID2, np.array([v, v], dtype=float))
+def fold_one(acc, i1, i2):
+    """Fold one realization: a one-row batch of scalar i1 and the pixels i2."""
+    acc.fold_batch(np.array([i1], dtype=float), np.array([i2], dtype=float))
 
 
 def test_worked_example():
     # pairs (1,2) and (3,4): s1=4, s2=6, s12=14, G = 14/2 - 4*6/4 = 1 exactly
     acc = CorrelationAccumulator(GRID2)
-    acc.update(1.0, pattern2(2.0))
-    acc.update(3.0, pattern2(4.0))
+    fold_one(acc, 1.0, [2.0, 2.0])
+    fold_one(acc, 3.0, [4.0, 4.0])
     assert acc.count == 2
     assert acc.sum1 == 4.0
     assert np.array_equal(acc.sum2, [6.0, 6.0])
@@ -36,23 +36,24 @@ def test_finalize_needs_two():
         acc.finalize()
     with pytest.raises(InsufficientSamplesError):
         acc.mean1
-    acc.update(1.0, pattern2(1.0))
+    fold_one(acc, 1.0, [1.0, 1.0])
     with pytest.raises(InsufficientSamplesError):
         acc.finalize()
-    acc.update(2.0, pattern2(2.0))
+    fold_one(acc, 2.0, [2.0, 2.0])
     acc.finalize()
 
 
-def test_update_validation():
+def test_one_row_fold_validation():
     acc = CorrelationAccumulator(GRID2)
     with pytest.raises(GridMismatchError):
-        acc.update(1.0, RealPattern(make_grid(1, 3, 1e-6), np.zeros(3)))
-    with pytest.raises(ValueError):
-        acc.update(-1.0, pattern2(1.0))
-    with pytest.raises(ValueError):
-        acc.update(1.0, RealPattern(GRID2, np.array([1.0, -2.0])))
+        fold_one(acc, 1.0, np.zeros(3))
+    with pytest.raises(BatchRangeError):
+        fold_one(acc, -1.0, [1.0, 1.0])
+    with pytest.raises(BatchRangeError):
+        fold_one(acc, 1.0, [1.0, -2.0])
     with pytest.raises(GridMismatchError):
         acc.fold_batch(np.ones(4), np.ones((4, 3)))
+    assert acc.count == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
@@ -119,7 +120,7 @@ positive = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infini
 def test_matches_two_pass_covariance(rows):
     acc = CorrelationAccumulator(GRID2)
     for i1, a, b in rows:
-        acc.update(i1, RealPattern(GRID2, np.array([a, b])))
+        fold_one(acc, i1, [a, b])
     n = len(rows)
     i1s = [r[0] for r in rows]
     for q in range(2):
@@ -138,7 +139,7 @@ def test_fold_batch_matches_updates():
     i2 = rng.exponential(size=(n, 2))
     one = CorrelationAccumulator(GRID2)
     for k in range(n):
-        one.update(i1[k], RealPattern(GRID2, i2[k]))
+        fold_one(one, i1[k], i2[k])
     batched = CorrelationAccumulator(GRID2)
     batched.fold_batch(i1[:100], i2[:100])
     batched.fold_batch(i1[100:], i2[100:])
@@ -178,9 +179,9 @@ def test_fold_batch_on_record_row_views_equals_contiguous_copies(n, points):
 
 def test_copy_is_independent():
     acc = CorrelationAccumulator(GRID2)
-    acc.update(1.0, pattern2(2.0))
+    fold_one(acc, 1.0, [2.0, 2.0])
     dup = acc.copy()
-    dup.update(3.0, pattern2(4.0))
+    fold_one(dup, 3.0, [4.0, 4.0])
     assert acc.count == 1
     assert dup.count == 2
     assert acc.sum1 == 1.0
@@ -230,7 +231,7 @@ def test_coherence_map_normalization_is_scale_free():
 
 def test_coherence_map_rejects_zero_mean():
     acc = CorrelationAccumulator(GRID2)
-    acc.update(0.0, pattern2(1.0))
-    acc.update(0.0, pattern2(2.0))
+    fold_one(acc, 0.0, [1.0, 1.0])
+    fold_one(acc, 0.0, [2.0, 2.0])
     with pytest.raises(ZeroDivisionError):
         coherence_map(acc)

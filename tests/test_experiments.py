@@ -225,41 +225,50 @@ def test_iter_checkpoints_is_lazy():
 
 
 @pytest.fixture
-def drawn_indices(monkeypatch):
-    """Every realization index the pipeline draws, once for each time it is drawn."""
-    indices = []
+def drawn_rows(monkeypatch):
+    """(realization index, thread) of every row the pipeline draws.
+
+    A row is drawn when the draw's ``claim`` hands it out, or, for a draw
+    without one, when it is one of the rows the draw covers.  Each thread's
+    rows are listed in the order it drew them.
+    """
+    rows = []
     draw = experiments.draw_source_block
 
-    def counting(spec, seed, first_index, count, **kwargs):
-        indices.extend(range(first_index, first_index + count))
-        return draw(spec, seed, first_index, count, **kwargs)
+    def counting(spec, seed, first_index, count, *, claim=None, **kwargs):
+        on = threading.get_ident()
+        if claim is None:
+            rows.extend((first_index + r, on) for r in range(count))
+            return draw(spec, seed, first_index, count, **kwargs)
+
+        def counted():
+            r = claim()  # an empty deque raises here: no row is drawn
+            rows.append((first_index + r, on))
+            return r
+
+        return draw(spec, seed, first_index, count, claim=counted, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_source_block", counting)
-    return indices
+    return rows
 
 
-def worker_cut(a, b):
-    """The first row of block [a, b) that the worker thread draws."""
-    return b - (b - a) // 3
-
-
-def test_threshold_search_draws_nothing_past_the_crossing(drawn_indices):
+def test_threshold_search_draws_nothing_past_the_crossing(drawn_rows):
     # tau = 1 crosses at the first checkpoint, 200: no batch past it is drawn.
     cfg = small_config(schedule=(200, 400, 800, 1600), tau=1.0)
     search = run_threshold(cfg)
     assert search.n_star == 200
     assert [p.n for p in search.curve] == [200]
     # every index up to the crossing is drawn exactly once, by whichever thread
-    assert sorted(drawn_indices) == list(range(200))
+    assert sorted(i for i, _ in drawn_rows) == list(range(200))
 
 
-def test_run_threshold_cuts_the_schedule_at_n_max(drawn_indices):
+def test_run_threshold_cuts_the_schedule_at_n_max(drawn_rows):
     cfg = small_config(schedule=(200, 400, 800), tau=1e-6, n_max=500)
     search = run_threshold(cfg)
     assert not search.reached
     assert search.n_budget == 400
     assert [p.n for p in search.curve] == [200, 400]
-    assert sorted(drawn_indices) == list(range(400))
+    assert sorted(i for i, _ in drawn_rows) == list(range(400))
 
 
 def test_threshold_search_leaves_no_thread_behind():
@@ -269,7 +278,7 @@ def test_threshold_search_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
-def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
+def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):
     # checkpoints that cut batches short: 0-128 | 128-200 | 200-256 | ... | 768-777
     cfg = small_config(schedule=(200, 500, 777), batch=128)
     pipe = GhostPipeline.from_config(cfg)
@@ -285,13 +294,7 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         want = experiments._convergence_result(
             pipe, experiments.fold_checkpoints(pipe.detector_grid, serial(), cfg.schedule)
         )
-
-    drawn = []
-    draw = experiments.draw_source_block
-
-    def spying(spec, seed, first_index, count, **kwargs):
-        drawn.append((first_index, first_index + count, threading.get_ident()))
-        return draw(spec, seed, first_index, count, **kwargs)
+    drawn_rows.clear()
 
     computed_on = []
     intensities = GhostPipeline.intensities
@@ -300,7 +303,6 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
         computed_on.append(threading.get_ident())
         return intensities(self, block)
 
-    monkeypatch.setattr(experiments, "draw_source_block", spying)
     monkeypatch.setattr(GhostPipeline, "intensities", spying_intensities)
     with RecordWriter(tmp_path / "live.gidat", header) as writer:
         got = run_converge(cfg, record_writer=writer, pipeline=pipe)
@@ -315,21 +317,26 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch):
     caller = threading.get_ident()
     assert len(computed_on) == len(bounds)
     assert len(set(computed_on)) == 1 and computed_on[0] != caller
-    # every realization is drawn exactly once: the calling thread draws the
-    # head of every block and the worker its tail, each thread in index order
-    assert sorted(i for lo, hi, _ in drawn for i in range(lo, hi)) == list(range(777))
-    cuts = [worker_cut(a, b) for a, b in bounds]
-    assert [(lo, hi) for lo, hi, on in drawn if on == caller] == [
-        (a, cut) for (a, _), cut in zip(bounds, cuts)]
-    assert [(lo, hi, on) for lo, hi, on in drawn if on != caller] == [
-        (cut, b, computed_on[0]) for (_, b), cut in zip(bounds, cuts) if cut < b]
+    # every realization is drawn exactly once, the calling thread's rows form
+    # a head of every block, drawn forwards, and the worker's its tail, drawn
+    # backwards; where the head ends varies from run to run
+    assert sorted(i for i, _ in drawn_rows) == list(range(777))
+    assert {on for _, on in drawn_rows} <= {caller, computed_on[0]}
+    for a, b in bounds:
+        head = [i for i, on in drawn_rows if a <= i < b and on == caller]
+        tail = [i for i, on in drawn_rows if a <= i < b and on != caller]
+        cut = a + len(head)
+        assert head == list(range(a, cut))
+        assert tail == list(range(b - 1, cut - 1, -1))
 
 
 def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
+    caller = threading.get_ident()
     draw = experiments.draw_source_block
 
     def failing(spec, seed, first_index, count, **kwargs):
-        if first_index == 128:  # batch 1's first rows, drawn while the worker computes batch 0
+        # block 1 on the calling thread, drawn while the worker computes batch 0
+        if first_index == 128 and threading.get_ident() == caller:
             raise RuntimeError("draw failed")
         return draw(spec, seed, first_index, count, **kwargs)
 
@@ -346,19 +353,29 @@ def test_a_failing_draw_on_the_worker_raises_from_run_converge(monkeypatch, bloc
     a, b = batch_bounds(500, cfg.schedule, cfg.batch)[block]
     caller = threading.get_ident()
     failed_at = []
+    worker_claimed = threading.Event()
     draw = experiments.draw_source_block
 
-    def failing(spec, seed, first_index, count, **kwargs):
-        if a <= first_index < b and threading.get_ident() != caller:
-            failed_at.append(first_index)
+    def failing(spec, seed, first_index, count, *, claim, **kwargs):
+        def claiming():
+            if threading.get_ident() == caller:
+                # the calling thread waits, so the worker fails on a row of
+                # the block rather than finding every row claimed
+                assert worker_claimed.wait(timeout=60)
+                return claim()
+            r = claim()
+            failed_at.append(first_index + r)
+            worker_claimed.set()
             raise RuntimeError("draw failed")
-        return draw(spec, seed, first_index, count, **kwargs)
+
+        return draw(spec, seed, first_index, count,
+                    claim=claiming if first_index == a else claim, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_source_block", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
         run_converge(cfg)
-    assert failed_at == [worker_cut(a, b)]
+    assert failed_at == [b - 1]  # the worker claims from the tail
     assert threading.active_count() == before
 
 

@@ -1,8 +1,10 @@
 import sys
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import integrate
 
 from ghostsim.errors import GeometryError, GridMismatchError
@@ -264,6 +266,60 @@ def test_golden_vector_seed0_index0():
     ]
     block = draw_source_block(_slit_spec(), 0, 0, 1)
     assert [float(x).hex() for x in block[0, :4].view(np.float64)] == want
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+def test_rekeyed_rows_equal_a_fresh_philox_at_the_key_extremes(seed):
+    # the re-key writes the key as Python ints; the top of the 64-bit range
+    # must reach Philox as the same words as a uint64 key array
+    spec = _slit_spec()
+    for index in (0, 1, 7, 2**40 + 3, 2**64 - 1):
+        key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+        want = Generator(Philox(key=key)).standard_normal(2 * spec.aperture_indices.size)
+        assert draw_source_block(spec, seed, index, 1).tobytes() == want.tobytes()
+
+
+def test_a_claimed_draw_writes_and_scales_only_the_claimed_rows():
+    spec = _slit_spec(4.0)
+    whole = draw_source_block(spec, 5, 11, 6)
+    block = np.full_like(whole, 7.0)
+    claims = deque([4, 1, 2])
+    got = draw_source_block(spec, 5, 11, 6, out=block, claim=claims.popleft)
+    assert got is block and not claims
+    for r in range(6):
+        want = whole[r] if r in (1, 2, 4) else np.full_like(whole[r], 7.0)
+        assert block[r].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+def test_four_threads_claiming_one_deque_from_both_ends_fill_the_serial_block(count):
+    # two threads pop the head and two the tail, on a short switch interval
+    spec = _disk_spec(4.0)
+    first, seed = 9, 3
+    whole = draw_source_block(spec, seed, first, count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            block = np.full_like(whole, np.nan)
+            claims = deque(range(count))
+            barrier = threading.Barrier(4, timeout=30)
+
+            def work(claim):
+                barrier.wait()
+                draw_source_block(spec, seed, first, count, out=block, claim=claim)
+
+            threads = [threading.Thread(target=work, args=(claim,))
+                       for claim in (claims.popleft, claims.pop) * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not claims
+            assert block.tobytes() == whole.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_batch_draw_rejects_negative_index():
