@@ -8,7 +8,6 @@ reconstruction converges with the number of source realizations.
 """
 
 from .analysis import (
-    BandSplit,
     CurvePoint,
     ThresholdSearch,
     banded_errors,
@@ -20,7 +19,6 @@ from .analysis import (
     normalize_unit,
     pattern_errors,
     peak_position,
-    rms_error,
     split_bands,
 )
 from .config import (

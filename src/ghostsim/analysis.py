@@ -32,10 +32,6 @@ def _subgrid(grid: Grid, m: int, n: int) -> Grid:
     return Grid(shape=(count,), pitch=(grid.pitch[0],), origin=(center,))
 
 
-def _values(pattern) -> np.ndarray:
-    return np.asarray(getattr(pattern, "samples", pattern), dtype=np.float64)
-
-
 def normalize_unit(pattern: RealPattern, window=None) -> RealPattern:
     """Affine rescale of the windowed samples onto [0, 1]."""
     if pattern.grid.ndim != 1:
@@ -46,17 +42,6 @@ def normalize_unit(pattern: RealPattern, window=None) -> RealPattern:
     if hi == lo:
         raise DegeneratePatternError("pattern is constant over the window")
     return RealPattern(_subgrid(pattern.grid, m, n), (v - lo) / (hi - lo))
-
-
-def rms_error(y_hat, y, window=None) -> float:
-    """Root mean square difference over an inclusive index window."""
-    a = _values(y_hat)
-    b = _values(y)
-    if a.shape != b.shape:
-        raise ValueError("patterns must have equal length")
-    m, n = _window_indices(a.shape[0], window)
-    d = a[m : n + 1] - b[m : n + 1]
-    return float(np.sqrt(np.mean(d * d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +76,8 @@ def banded_errors(y_hat, y, window=None) -> tuple[float, float, float]:
     All three are computed from the same residual vector, so
     W*eps_global^2 = |low|*eps_low^2 + |high|*eps_high^2 holds exactly.
     """
-    a = _values(y_hat)
-    b = _values(y)
+    a = np.asarray(y_hat, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("patterns must have equal length")
     m, n = _window_indices(a.shape[0], window)

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_from_values, load_config, parse_value
-from .errors import BatchRangeError, ConfigError, GeometryError, RecordFormatError
+from .config import ExperimentConfig, config_from_values, format_value, load_config, parse_value
+from .errors import BatchRangeError, ConfigError, GeometryError, NoPeakError, RecordFormatError
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
@@ -40,54 +40,42 @@ from .fields import STREAM_VERSION
 from .records import RecordWriter
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_lines(path: Path, lines) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then each row's values through ``format_value``."""
+    _write_lines(path, [header, *(",".join(map(format_value, row)) for row in rows)])
+
+
 def write_curve_csv(path: Path, curve) -> None:
-    lines = ["n,eps_global,eps_low,eps_high"]
-    for p in curve:
-        lines.append(f"{p.n},{_fmt(p.eps_global)},{_fmt(p.eps_low)},{_fmt(p.eps_high)}")
-    _write_lines(path, lines)
+    _write_csv(path, "n,eps_global,eps_low,eps_high",
+               ((p.n, p.eps_global, p.eps_low, p.eps_high) for p in curve))
 
 
 def write_pattern_csv(path: Path, reconstruction, reference) -> None:
-    lines = ["position_m,reconstruction,reference"]
-    coords = reconstruction.grid.coords(0).tolist()
-    # tolist() gives Python floats, whose repr is what _fmt writes for a float
-    for x, yr, yt in zip(coords, reconstruction.samples.tolist(), reference.samples.tolist()):
-        lines.append(f"{x!r},{yr!r},{yt!r}")
-    _write_lines(path, lines)
+    # format_value's float rule, repr of a Python float, inlined: replay
+    # writes these files on every command
+    rows = zip(reconstruction.grid.coords(0).tolist(), reconstruction.samples.tolist(),
+               reference.samples.tolist())
+    _write_lines(path, ["position_m,reconstruction,reference"]
+                 + [f"{x!r},{yr!r},{yt!r}" for x, yr, yt in rows])
 
 
 def write_kappa_csv(path: Path, points) -> None:
-    lines = ["phi_m,kappa,n_star,reached,eps_global,eps_low,eps_high"]
+    rows = []
     for p in points:
         at = p.search.crossing
-        n_star = str(p.search.n_star) if p.search.reached else ""
-        lines.append(
-            f"{_fmt(p.phi)},{_fmt(p.kappa)},{n_star},{_fmt(p.search.reached)},"
-            f"{_fmt(at.eps_global)},{_fmt(at.eps_low)},{_fmt(at.eps_high)}"
-        )
-    _write_lines(path, lines)
+        rows.append((p.phi, p.kappa, p.search.n_star, p.search.reached,
+                     at.eps_global, at.eps_low, at.eps_high))
+    _write_csv(path, "phi_m,kappa,n_star,reached,eps_global,eps_low,eps_high", rows)
 
 
 def write_speckle_csv(path: Path, points) -> None:
-    lines = ["phi_m,n,l_c_m,fwhm_axis0_m,fwhm_axis1_m"]
-    for p in points:
-        lines.append(
-            f"{_fmt(p.phi)},{p.n},{_fmt(p.l_c)},{_fmt(p.fwhm_axis0)},{_fmt(p.fwhm_axis1)}"
-        )
-    _write_lines(path, lines)
+    _write_csv(path, "phi_m,n,l_c_m,fwhm_axis0_m,fwhm_axis1_m",
+               ((p.phi, p.n, p.l_c, p.fwhm_axis0, p.fwhm_axis1) for p in points))
 
 
 def write_grid_csv(path: Path, pattern) -> None:
@@ -97,24 +85,21 @@ def write_grid_csv(path: Path, pattern) -> None:
 
 def write_curve_median_csv(path: Path, results) -> None:
     """Per-checkpoint medians over seeds of the three curve errors."""
-    lines = ["n,eps_global_median,eps_low_median,eps_high_median"]
+    rows = []
     for points in zip(*(r.curve for r in results)):
         eps = np.median([[p.eps_global, p.eps_low, p.eps_high] for p in points], axis=0)
-        lines.append(f"{points[0].n}," + ",".join(_fmt(float(e)) for e in eps))
-    _write_lines(path, lines)
+        rows.append((points[0].n, *eps.tolist()))
+    _write_csv(path, "n,eps_global_median,eps_low_median,eps_high_median", rows)
 
 
 def write_kappa_median_csv(path: Path, sweeps) -> None:
     """Per aperture: the median N* over the seeds that reached tau, and how many did."""
-    lines = ["phi_m,kappa,n_star_median,reached_runs"]
+    rows = []
     for points in zip(*sweeps):
         stars = [p.search.n_star for p in points if p.search.reached]
-        median = _fmt(float(np.median(stars))) if stars else ""
-        lines.append(
-            f"{_fmt(points[0].phi)},{_fmt(points[0].kappa)},{median},"
-            f"{len(stars)}/{len(points)}"
-        )
-    _write_lines(path, lines)
+        median = float(np.median(stars)) if stars else None
+        rows.append((points[0].phi, points[0].kappa, median, f"{len(stars)}/{len(points)}"))
+    _write_csv(path, "phi_m,kappa,n_star_median,reached_runs", rows)
 
 
 def write_manifest(path: Path, command: str, config: ExperimentConfig,
@@ -339,7 +324,8 @@ def main(argv=None) -> int:
         else:
             _COMMANDS[args.command](args, configs[0], out)
         return 0
-    except (BatchRangeError, ConfigError, GeometryError, RecordFormatError, OSError) as exc:
+    except (BatchRangeError, ConfigError, GeometryError, NoPeakError, RecordFormatError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ not measured values and every one of them can be overridden.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
@@ -74,12 +75,12 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(value))
         for name in _POSITIVE:
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         for name in _POSITIVE_ENTRIES:
             values = getattr(self, name)
-            if values is not None and not all(v > 0 for v in values):
-                raise ConfigError(f"{name} entries must be positive, got {values!r}")
+            if values is not None and not all(0 < v < math.inf for v in values):
+                raise ConfigError(f"{name} entries must be positive and finite, got {values!r}")
         if not self.allow_geometry_mismatch:
             if abs(self.d - (self.d1 + self.d2)) > _REL_TOL * self.d:
                 raise ConfigError(
@@ -173,7 +174,7 @@ _HINTS = get_type_hints(ExperimentConfig)
 _PARSERS = {name: _parser_for(hint) for name, hint in _HINTS.items()}
 # Tuple fields hold tuples even when given lists, so configs stay hashable.
 _TUPLES = tuple(name for name, hint in _HINTS.items() if get_origin(_unwrap(hint)) is tuple)
-# Every float field, and every entry of a tuple-of-floats field, must be > 0.
+# Every float field, and every entry of a tuple-of-floats field, must be > 0 and finite.
 _POSITIVE = tuple(name for name, hint in _HINTS.items() if _unwrap(hint) is float)
 _POSITIVE_ENTRIES = tuple(
     name for name, hint in _HINTS.items() if _unwrap(hint) == tuple[float, ...]
@@ -230,20 +231,24 @@ def config_from_values(values: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
+def format_value(value) -> str:
+    """The text of a value in config files and CSVs: None as empty, bools as
+    true/false, floats by repr (so they parse back exactly), tuples joined
+    by ", ".  Pass Python scalars: numpy 2 reprs np.float64 with its type."""
+    if isinstance(value, float):  # the common case first: CSVs are mostly floats
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(map(format_value, value))
+    return str(value)
+
+
 def dump_config(config: ExperimentConfig) -> str:
     """The config as parseable key = value text (round-trips through load)."""
-    lines = []
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            rendered = ""
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, tuple):
-            rendered = ", ".join(repr(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.name} = {format_value(getattr(config, f.name))}\n"
+        for f in dataclasses.fields(config)
+    )

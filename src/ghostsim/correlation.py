@@ -81,10 +81,12 @@ class CorrelationAccumulator:
         rows = record_rows(i1, i2)
         parts = (i1, i2) if rows is None else (rows,)
         ok = all(part.min(initial=0.0) >= 0.0 for part in parts)
-        s1 = float(i1.sum())
-        s2 = i2.sum(axis=0)
-        # a 2D grid (speckle) folds as (B, pixels); the reshape is a view
-        s12 = np.ascontiguousarray(i1) @ i2.reshape(n, s2.size)
+        # an overflow is refused by the check below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1 = float(i1.sum())
+            s2 = i2.sum(axis=0)
+            # a 2D grid (speckle) folds as (B, pixels); the reshape is a view
+            s12 = np.ascontiguousarray(i1) @ i2.reshape(n, s2.size)
         if not (ok and np.isfinite(s1) and np.isfinite(s2).all()
                 and np.isfinite(s12).all()):
             _check_batch(i1, i2)  # raises naming the bad value, if there is one

@@ -32,6 +32,7 @@ numbers, and their order, do not change.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
-from .errors import ConfigError, DegeneratePatternError, RecordFormatError
+from .errors import ConfigError, DegeneratePatternError, NoPeakError, RecordFormatError
 from .fields import STREAM_VERSION, RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
@@ -160,29 +161,27 @@ class GhostPipeline:
             raise ConfigError("the reference pattern is flat over the comparison "
                               "window (an opaque mask?): nothing to reconstruct") from None
 
-    def asymptotic_pattern(self) -> RealPattern:
-        """Exact infinite-N covariance pattern.
+    @functools.cached_property
+    def covariance(self) -> np.ndarray:
+        """C = 2 sigma2 * A^H A, with A = [v | K_nodes], shape (1 + m, 1 + m).
 
-        For the circular-Gaussian source the covariance of (i1, i2) equals
-        |2 sigma2 * sum_p v_p conj(K[q,p])|^2 over in-aperture pixels p, so
-        the Monte Carlo limit is available in closed form for calibration.
+        A realization's amplitudes w = [a1, z] = E @ A are circular Gaussian
+        with E[conj(w_i) w_j] = C[i, j], so every infinite-N statistic of
+        the two arms is read off C.  Built on first use; no run path needs it.
         """
-        at_nodes = self.ref_nodes.conj().T @ self.test_weights
-        gamma = (2.0 * self.config.sigma2) * (at_nodes @ self.ref_interp)
+        a = np.column_stack((self.test_weights, self.ref_nodes))
+        return (2.0 * self.config.sigma2) * (a.conj().T @ a)
+
+    def asymptotic_pattern(self) -> RealPattern:
+        """Exact infinite-N covariance pattern of (i1, i2): |E[conj(a1) a2]|^2,
+        so the Monte Carlo limit is available in closed form for calibration."""
+        gamma = self.covariance[0, 1:] @ self.ref_interp
         return RealPattern(self.detector_grid, gamma.real**2 + gamma.imag**2)
 
     def asymptotic_means(self) -> tuple[float, np.ndarray]:
-        """Exact infinite-N mean intensities (scalar arm, reference arm).
-
-        Every entry of K has modulus pitch / sqrt(lambda d), so the reference
-        arm's mean is flat: 2 sigma2 * n_in * pitch^2 / (lambda d) per pixel.
-        """
-        cfg = self.config
-        scale = 2.0 * cfg.sigma2
-        m1 = scale * float(np.sum(np.abs(self.test_weights) ** 2))
-        n_in = len(self.test_weights)
-        m2 = scale * n_in * cfg.source_pitch**2 / (cfg.wavelength * cfg.d)
-        return m1, np.full(self.detector_grid.npoints, m2)
+        """Exact infinite-N mean intensities (scalar arm, reference arm)."""
+        c, interp = self.covariance, self.ref_interp
+        return c[0, 0].real, np.sum(interp * (c[1:, 1:] @ interp), axis=0).real
 
 
 def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
@@ -455,8 +454,11 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         (_, acc), = fold_checkpoints(grid_out, batches, schedule)
         cmap = coherence_map(acc)
         half = 64
-        fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
-        fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
+        try:
+            fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
+            fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
+        except NoPeakError as exc:
+            raise NoPeakError(f"phi={phi:.6g} m: coherence map: {exc}") from None
         out.append(
             SpecklePoint(
                 phi=phi,

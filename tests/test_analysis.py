@@ -14,7 +14,6 @@ from ghostsim.analysis import (
     normalize_unit,
     pattern_errors,
     peak_position,
-    rms_error,
     split_bands,
 )
 from ghostsim.errors import DegeneratePatternError, NoPeakError
@@ -45,17 +44,6 @@ def test_normalize_unit_degenerate():
         normalize_unit(pattern([5.0, 5.0, 5.0]))
     with pytest.raises(DegeneratePatternError):
         normalize_unit(pattern([1.0, 5.0, 5.0]), window=(1, 2))
-
-
-def test_rms_error_known_value():
-    got = rms_error([0.0, 0.0, 0.0], [3.0, 4.0, 0.0])
-    assert got == pytest.approx(np.sqrt(25.0 / 3.0), rel=1e-15)
-    assert rms_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert rms_error([0, 1, 5], [0, 1, 9], window=(0, 1)) == 0.0
-    with pytest.raises(ValueError):
-        rms_error([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rms_error([1.0, 2.0], [1.0, 2.0], window=(1, 2))
 
 
 def test_split_bands_examples():
@@ -106,6 +94,13 @@ def test_banded_errors_values():
     assert eps_h == 0.0
     assert eps_l == pytest.approx(np.sqrt(9.0 / 3.0), rel=1e-15)
     assert eps_g == pytest.approx(np.sqrt(9.0 / 9.0), rel=1e-15)
+    eps_g, _, _ = banded_errors([0.0, 0.0, 0.0], [3.0, 4.0, 0.0])
+    assert eps_g == pytest.approx(np.sqrt(25.0 / 3.0), rel=1e-15)
+    assert banded_errors([0, 1, 2, 5], [0, 1, 2, 9], window=(0, 2)) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        banded_errors([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        banded_errors([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], window=(1, 3))
 
 
 def test_pattern_errors_scale_invariant():

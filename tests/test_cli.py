@@ -194,12 +194,13 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
         assert (again / name).read_bytes() == (want / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_run_exits_2_and_records_no_refused_row(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, extra="sigma2 = 1e300\n")
     assert main(["converge", "--config", str(cfg), "--schedule", "200",
                  "--out-dir", str(out)]) == 2
-    assert "error: batch sums overflow" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: batch sums overflow float64\n"
     # the header counts what the file holds, and that is not the refused batch
     records = out / "records.gidat"
     assert open_records(records).n_records == 0
@@ -462,6 +463,11 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["converge", "--config", "empty.cfg"],  # aperture holds no source pixel
         ["replay", "--records", "."],  # the records path is a directory
         ["converge", "--out-dir", "short.txt"],  # the output directory is a file
+        ["converge", "--config", "inf.cfg"],  # sigma2 = inf
+        ["converge", "--config", "infpitch.cfg"],  # source_pitch = inf
+        ["converge", "--config", "infwave.cfg"],  # wavelength = inf
+        ["sweep-kappa", "--phi-list", "0.6e-3,1.2e-3", "--tau", "inf"],
+        ["speckle", "--config", "pixel.cfg"],  # one source pixel: no half-maximum crossing
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
@@ -475,6 +481,12 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     (tmp_path / "narrow.cfg").write_text("window = 5, 6\n")
     (tmp_path / "nan.cfg").write_text("sigma2 = nan\n")
     (tmp_path / "empty.cfg").write_text("phi = 1e-7\n")
+    (tmp_path / "inf.cfg").write_text("sigma2 = inf\n")
+    (tmp_path / "infpitch.cfg").write_text("source_pitch = inf\n")
+    (tmp_path / "infwave.cfg").write_text("wavelength = inf\n")
+    (tmp_path / "pixel.cfg").write_text(
+        "speckle_points = 49\nspeckle_pitch = 40e-6\nspeckle_phi_list = 2e-5\nspeckle_n = 200\n"
+    )
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("ghostsim-*"))  # no output directory is left

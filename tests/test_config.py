@@ -55,6 +55,11 @@ def test_reference_arm_must_span_both_hops():
         {"window": (5, 6)},  # too narrow to split into bands
         {"window": (1, 2, 3)},
         {"sigma2": float("nan")},
+        {"sigma2": float("inf")},
+        {"source_pitch": float("inf")},
+        {"wavelength": float("inf")},
+        {"tau": float("inf")},
+        {"phi_list": (1e-3, float("inf"))},
     ],
 )
 def test_validation_rejects(changes):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostsim.analysis import normalize_unit, pattern_errors, rms_error
+from ghostsim.analysis import normalize_unit, pattern_errors
 from ghostsim.config import ExperimentConfig
 from ghostsim.correlation import coherence_map
 from ghostsim import experiments
@@ -149,6 +149,26 @@ def test_reference_factors_match_the_dense_kernel(cfg):
     want = gamma.real**2 + gamma.imag**2
     got = pipe.asymptotic_pattern().samples
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+
+
+def test_sampled_amplitude_covariance_matches_the_pipeline_covariance():
+    # the amplitudes [a1, z] of 10^5 realizations, through the two products
+    # the pipeline computes; for circular Gaussian amplitudes the sample mean
+    # of conj(w_i) w_j has variance C_ii C_jj / N
+    pipe = GhostPipeline.from_config(small_config(sigma2=2.5, seed=17))
+    c = pipe.covariance
+    assert c.shape == (1 + pipe.ref_nodes.shape[1],) * 2
+    assert np.max(np.abs(c - c.conj().T)) <= 1e-14 * np.max(np.abs(c))
+    total, chunk = 100_000, 10_000
+    sample = np.zeros_like(c)
+    for start in range(0, total, chunk):
+        block = draw_source_block(pipe.source_spec, 17, start, chunk)
+        w = np.column_stack((block @ pipe.test_weights, block @ pipe.ref_nodes))
+        sample += w.conj().T @ w
+    sample /= total
+    diag = c.diagonal().real
+    stderr = np.sqrt(np.outer(diag, diag) / total)
+    assert np.max(np.abs(sample - c) / stderr) < 5.0
 
 
 def test_run_realization_deterministic_across_calls():
