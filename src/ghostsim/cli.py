@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_values, format_value, load_config, parse_value
-from .errors import BatchRangeError, ConfigError, GeometryError, NoPeakError, RecordFormatError
+from .errors import (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError,
+                     NoPeakError, RecordFormatError)
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
@@ -324,8 +325,8 @@ def main(argv=None) -> int:
         else:
             _COMMANDS[args.command](args, configs[0], out)
         return 0
-    except (BatchRangeError, ConfigError, GeometryError, NoPeakError, RecordFormatError,
-            OSError) as exc:
+    except (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError, NoPeakError,
+            RecordFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,8 @@ intensity i1 against every pixel of a reference pattern i2:
 
 No Bessel correction is applied.  Batches are folded in order into float64
 sums with compensated (error-carrying) accumulation, so long runs and their
-checkpoints stay accurate to the last few ulps.
+checkpoints stay accurate to the last few ulps.  The sums are one vector
+[s1 | s2 | s12], checked and added whole, so a further sum widens it.
 """
 
 from __future__ import annotations
@@ -36,26 +37,14 @@ def _check_batch(i1, i2):
 
 
 class CorrelationAccumulator:
-    """Compensated running sums (n, s1, s2[q], s12[q]) for the covariance estimator."""
+    """Compensated running sums (n, s1, s2[q], s12[q]) for the covariance estimator,
+    held as one vector [s1 | s2 | s12] of length 1 + 2P and its TwoSum errors."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.count = 0
-        self._s1 = 0.0
-        self._c1 = 0.0
-        self._s2 = np.zeros(grid.shape, dtype=np.float64)
-        self._c2 = np.zeros(grid.shape, dtype=np.float64)
-        self._s12 = np.zeros(grid.shape, dtype=np.float64)
-        self._c12 = np.zeros(grid.shape, dtype=np.float64)
-
-    def _add(self, d1: float, d2: np.ndarray, d12: np.ndarray, n: int) -> None:
-        self._s1, e1 = _two_sum(self._s1, d1)
-        self._c1 += e1
-        self._s2, e2 = _two_sum(self._s2, d2)
-        self._c2 += e2
-        self._s12, e12 = _two_sum(self._s12, d12)
-        self._c12 += e12
-        self.count += n
+        self._sums = np.zeros(1 + 2 * grid.npoints, dtype=np.float64)
+        self._errs = np.zeros_like(self._sums)
 
     def fold_batch(self, i1: np.ndarray, i2: np.ndarray) -> None:
         """Fold a batch: i1 shape (B,), i2 shape (B, *grid.shape).
@@ -64,11 +53,11 @@ class CorrelationAccumulator:
         (B, 1 + P) record block.  They are reduced where they lie: i2 enters
         the GEMV as a matrix with leading dimension 1 + P, and is not copied.
         Equivalent to folding one-row batches up to float rounding; the
-        batch is reduced with fixed-shape numpy sums, then the three batch
-        totals enter the compensated accumulators.  The batch is
+        batch is reduced with fixed-shape numpy sums into one vector of its
+        three totals, which enters the compensated sums.  The batch is
         checked in the same pass: a minimum below zero (or NaN) catches
-        negative, NaN and -inf intensities, and a sum that is not finite, the
-        cross sum included, catches +inf and overflow.  A rejected batch
+        negative, NaN and -inf intensities, and a total that is not finite,
+        the cross sum included, catches +inf and overflow.  A rejected batch
         raises ``BatchRangeError`` and leaves the sums untouched.
         """
         i1 = np.asarray(i1, dtype=np.float64)
@@ -83,35 +72,38 @@ class CorrelationAccumulator:
         ok = all(part.min(initial=0.0) >= 0.0 for part in parts)
         # an overflow is refused by the check below, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
-            s1 = float(i1.sum())
-            s2 = i2.sum(axis=0)
+            s2 = i2.sum(axis=0).ravel()
             # a 2D grid (speckle) folds as (B, pixels); the reshape is a view
             s12 = np.ascontiguousarray(i1) @ i2.reshape(n, s2.size)
-        if not (ok and np.isfinite(s1) and np.isfinite(s2).all()
-                and np.isfinite(s12).all()):
+            totals = np.concatenate(([i1.sum()], s2, s12))
+        if not (ok and np.isfinite(totals).all()):
             _check_batch(i1, i2)  # raises naming the bad value, if there is one
             raise BatchRangeError("batch sums overflow float64")
-        self._add(s1, s2, s12.reshape(s2.shape), n)
+        self._sums, err = _two_sum(self._sums, totals)
+        self._errs += err
+        self.count += n
 
     def copy(self) -> "CorrelationAccumulator":
         out = CorrelationAccumulator(self.grid)
         out.count = self.count
-        out._s1, out._c1 = self._s1, self._c1
-        out._s2, out._c2 = self._s2.copy(), self._c2.copy()
-        out._s12, out._c12 = self._s12.copy(), self._c12.copy()
+        out._sums, out._errs = self._sums.copy(), self._errs.copy()
         return out
+
+    def _total(self, part: slice) -> np.ndarray:
+        """The compensated sums of one part of the layout, on the grid."""
+        return (self._sums[part] + self._errs[part]).reshape(self.grid.shape)
 
     @property
     def sum1(self) -> float:
-        return self._s1 + self._c1
+        return float(self._sums[0] + self._errs[0])
 
     @property
     def sum2(self) -> np.ndarray:
-        return self._s2 + self._c2
+        return self._total(slice(1, 1 + self.grid.npoints))
 
     @property
     def sum12(self) -> np.ndarray:
-        return self._s12 + self._c12
+        return self._total(slice(1 + self.grid.npoints, None))
 
     @property
     def mean1(self) -> float:

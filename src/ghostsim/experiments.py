@@ -15,18 +15,19 @@ Chebyshev nodes followed by a real interpolation to the detector pixels:
 a batch of realizations is one complex GEMM to the nodes and one real GEMM
 from them.
 
-Every run is one fold: batches cut by ``batch_bounds`` (fixed by the schedule
-and the batch size alone) are folded in index order into one accumulator on
-the calling thread, which is scored at each scheduled N.  Live runs, replay,
-threshold search and speckle differ only in where the batches come from.
-Live runs and speckle share one producer, ``_live_batches``, which overlaps
-two batches, and both threads draw every source block: one worker thread
-computes the intensities of batch k and then claims rows of block k + 1
-from the tail of one deque, the calling thread from its head; the calling
-thread then folds, scores and records batch k.  Every row comes from its
-own re-keyed stream, so which thread draws it, which varies from run to
-run, changes no number.  Nothing is drawn ahead past a checkpoint, and the
-numbers, and their order, do not change.
+Every run is one fold: ``fold_checkpoints`` folds batches cut by
+``batch_bounds`` (fixed by the schedule and the batch size alone) in index
+order into one accumulator on the calling thread, records each batch it
+accepts, and hands the accumulator out at each scheduled N to be scored.
+Live runs, replay, threshold search and speckle differ only in where the
+batches come from.  Live runs and speckle share one producer,
+``_live_batches``, which overlaps two batches, and both threads draw every
+source block: one worker thread computes the intensities of batch k and then
+claims rows of block k + 1 from the tail of one deque, the calling thread
+from its head; the calling thread then folds, records and scores batch k.
+Every row comes from its own re-keyed stream, so which thread draws it,
+which varies from run to run, changes no number.  Nothing is drawn ahead
+past a checkpoint, and the numbers, and their order, do not change.
 """
 
 from __future__ import annotations
@@ -199,24 +200,28 @@ def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
 
 
 def fold_checkpoints(
-    grid: Grid, batches: Iterable[tuple[np.ndarray, np.ndarray]], schedule
+    grid: Grid, batches: Iterable[tuple[np.ndarray, np.ndarray]], schedule,
+    record_writer: RecordWriter | None = None,
 ) -> Iterator[tuple[int, CorrelationAccumulator]]:
     """Fold (i1, i2) batches in order; yield (n, snapshot) at each scheduled n.
 
     The batches must be cut by ``batch_bounds`` so every checkpoint falls on
-    a batch end.  Lazy: no batch is pulled past the checkpoint last yielded.
+    a batch end.  Each batch the fold accepts goes to ``record_writer`` before
+    its checkpoint is yielded, so every folded batch, and no refused one, is
+    recorded.  Lazy: no batch is pulled past the checkpoint last yielded.
     """
     marks = set(schedule)
     acc = CorrelationAccumulator(grid)
     for i1, i2 in batches:
         acc.fold_batch(i1, i2)
+        if record_writer is not None:
+            record_writer.append(i1, i2)
         del i1, i2  # so the next batch can reuse their memory
         if acc.count in marks:
             yield acc.count, acc.copy()
 
 
-def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks,
-                  index_base: int, record_writer: RecordWriter | None = None):
+def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index_base: int):
     """The batches ``intensities(block)`` makes of the blocks over ``bounds``.
 
     Both threads draw every block, into one of two reused buffers, claiming
@@ -224,12 +229,12 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks,
     worker thread from the tail, so the split follows what each has time
     for.  The worker computes the intensities of batch k and then claims rows
     of block k + 1, while the calling thread claims them from the first on;
-    it then waits for the worker, hands batch k to the fold and records it
-    once the fold has accepted it.  After a batch that ends at a mark nothing
-    is drawn ahead: both threads draw the next block when the fold pulls it,
-    so a search that stops at a mark draws nothing it does not fold.  Batch
-    k + 1 is computed once the fold pulls it, so ``intensities`` may reuse its
-    output buffers.
+    it then waits for the worker and hands batch k to the fold, which also
+    records it: this producer only produces.  After a batch that ends at a
+    mark nothing is drawn ahead: both threads draw the next block when the
+    fold pulls it, so a search that stops at a mark draws nothing it does not
+    fold.  Batch k + 1 is computed once the fold pulls it, so ``intensities``
+    may reuse its output buffers.
     """
     sizes = [b - a for a, b in bounds]
     blocks = [np.empty((max(sizes), spec.aperture_indices.size), dtype=np.complex128)
@@ -262,8 +267,6 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks,
             i1, i2 = pending.result()
             del pending  # the Future holds the batch too
             yield i1, i2
-            if record_writer is not None:  # the fold has accepted batch k
-                record_writer.append(i1, i2)
             del i1, i2
 
 
@@ -278,8 +281,8 @@ def iter_checkpoints(
     schedule = tuple(int(n) for n in schedule)
     bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
     batches = _live_batches(pipeline.source_spec, pipeline.config.seed, pipeline.intensities,
-                            bounds, set(schedule), index_base, record_writer)
-    return fold_checkpoints(pipeline.detector_grid, batches, schedule)
+                            bounds, set(schedule), index_base)
+    return fold_checkpoints(pipeline.detector_grid, batches, schedule, record_writer)
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,11 @@ class ConvergenceResult:
 def _score(pipeline: GhostPipeline, n: int, acc: CorrelationAccumulator):
     """The reconstruction at a checkpoint and its errors against the reference."""
     g = acc.finalize()
-    eps = pattern_errors(g, pipeline.reference, pipeline.config.window)
+    try:  # a flat reference is refused before any draw, so g is flat (G underflows)
+        eps = pattern_errors(g, pipeline.reference, pipeline.config.window)
+    except DegeneratePatternError:
+        raise DegeneratePatternError(f"the reconstruction at N={n} is constant over the "
+                                     "comparison window") from None
     return g, CurvePoint(n, *eps)
 
 

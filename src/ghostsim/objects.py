@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GeometryError, GridMismatchError
 from .fields import ComplexField, RealPattern
 from .grids import Grid
 
@@ -35,7 +35,11 @@ class TransmissionMask:
 
 
 def double_slit(a: float, b: float, grid: Grid) -> TransmissionMask:
-    """Two openings of width a centered at +/- b/2; edges are inclusive."""
+    """Two openings of width a centered at +/- b/2; edges are inclusive.
+
+    An outer edge past the outermost sample (on it fits) would clip the pair,
+    which is scored against the unclipped reference: ``GeometryError``.
+    """
     if grid.ndim != 1:
         raise ValueError("double_slit requires a 1D object grid")
     if not (np.isfinite(a) and a > 0 and np.isfinite(b) and b > 0):
@@ -44,6 +48,12 @@ def double_slit(a: float, b: float, grid: Grid) -> TransmissionMask:
         raise ValueError("separation b must exceed slit width a (openings must not overlap)")
     x = grid.coords(0)
     half = a / 2.0
+    # the inclusion test below, at the outermost samples
+    if min(x[-1] - b / 2.0, -(x[0] + b / 2.0)) < half:
+        raise GeometryError(
+            f"double slit (outer edges at +/-{b / 2.0 + half:.6g} m) exceeds the object "
+            f"grid [{x[0]:.6g}, {x[-1]:.6g}] m"
+        )
     t = (np.abs(x + b / 2.0) <= half) | (np.abs(x - b / 2.0) <= half)
     return TransmissionMask(grid, t.astype(np.float64))
 

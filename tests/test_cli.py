@@ -207,6 +207,21 @@ def test_an_overflowing_run_exits_2_and_records_no_refused_row(tmp_path, capsys)
     assert records.stat().st_size == HEADER_SIZE
 
 
+def test_an_underflowing_reconstruction_exits_2_and_keeps_its_records(tmp_path, capsys):
+    # i1 * i2 ~ sigma2^2 underflows, so G is zero and cannot be normalized
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, extra="sigma2 = 1e-200\n")
+    assert main(["converge", "--config", str(cfg), "--schedule", "200,400",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the reconstruction at N=200 is constant over the comparison window\n"
+    )
+    # the 200 folded records are on disk, and the header counts them
+    records = out / "records.gidat"
+    assert open_records(records).n_records == 200
+    assert records.stat().st_size == HEADER_SIZE + 200 * 65 * 8
+
+
 def test_a_batch_refused_partway_is_not_recorded(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     want = tmp_path / "want"
@@ -468,6 +483,8 @@ def test_geometry_mismatch_needs_explicit_override(tmp_path, capsys):
         ["converge", "--config", "infwave.cfg"],  # wavelength = inf
         ["sweep-kappa", "--phi-list", "0.6e-3,1.2e-3", "--tau", "inf"],
         ["speckle", "--config", "pixel.cfg"],  # one source pixel: no half-maximum crossing
+        ["sweep-kappa", "--config", "tiny.cfg", "--phi-list", "0.6e-3,1.2e-3",
+         "--schedule", "200,400"],  # sigma2 = 1e-200: the reconstruction underflows
     ],
 )
 def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
@@ -487,6 +504,7 @@ def test_bad_invocations_exit_2(tmp_path, argv, capsys, monkeypatch):
     (tmp_path / "pixel.cfg").write_text(
         "speckle_points = 49\nspeckle_pitch = 40e-6\nspeckle_phi_list = 2e-5\nspeckle_n = 200\n"
     )
+    (tmp_path / "tiny.cfg").write_text("sigma2 = 1e-200\n")
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("ghostsim-*"))  # no output directory is left
@@ -540,9 +558,15 @@ def test_an_opaque_mask_is_refused_before_any_draw(tmp_path, command, capsys, mo
         ("file holds 500", ["replay", "--config", "run.cfg", "--schedule", "200, 800",
                             "--records", "live/records.gidat"]),
         ("No such file", ["replay", "--config", "run.cfg", "--records", "none.gidat"]),
+        ("exceeds the object grid", ["converge", "--config", "slits.cfg",
+                                     "--schedule", "200"]),
+        ("exceeds the object grid", ["sweep-kappa", "--config", "slits.cfg",
+                                     "--phi-list", "0.6e-3,0.8e-3", "--schedule", "200"]),
+        ("exceeds the object grid", ["converge", "--config", "clipped.cfg"]),
     ],
     ids=["flat-reference", "converge-too-wide", "sweep-too-wide", "speckle-too-wide",
-         "foreign-records", "short-records", "missing-records"],
+         "foreign-records", "short-records", "missing-records", "converge-slits-off-grid",
+         "sweep-slits-off-grid", "converge-slits-clipped"],
 )
 def test_a_refused_run_leaves_no_output_directory(tmp_path, refusal, argv, capsys,
                                                   monkeypatch):
@@ -555,6 +579,9 @@ def test_a_refused_run_leaves_no_output_directory(tmp_path, refusal, argv, capsy
         "speckle_points = 48\nspeckle_pitch = 40e-6\nspeckle_phi_list = 5e-4, 5e-3\n"
     )
     (tmp_path / "wide.cfg").write_text("phi = 3e-3\n")
+    # both openings off the 420 um object grid; the outer edges (204 um) off a +/-175 um one
+    (tmp_path / "slits.cfg").write_text("slit_width = 1e-3\nslit_separation = 2e-3\n")
+    (tmp_path / "clipped.cfg").write_text("object_points = 141\nobject_pitch = 2.5e-6\n")
     capsys.readouterr()
     assert main(argv + ["--out-dir", "out"]) == 2
     assert refusal in capsys.readouterr().err

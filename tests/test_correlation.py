@@ -110,6 +110,20 @@ def test_fold_batch_refuses_an_overflowing_cross_sum_and_keeps_sums():
     assert np.array_equal(acc.sum12, before[3])
 
 
+def test_sums_keep_the_grid_shape_and_scalars_are_python_floats():
+    # a 2D grid folds as (B, pixels); the sums come back on the grid
+    grid = make_grid(2, (3, 4), 1e-6)
+    rows = np.arange(2 * 13, dtype=float).reshape(2, 13)
+    acc = CorrelationAccumulator(grid)
+    acc.fold_batch(rows[:, 0], rows[:, 1:].reshape(2, 3, 4))
+    assert acc.sum2.shape == acc.sum12.shape == acc.mean2.shape == (3, 4)
+    assert np.array_equal(acc.sum2, rows[:, 1:].sum(axis=0).reshape(3, 4))
+    assert np.array_equal(acc.sum12, (rows[:, :1] * rows[:, 1:]).sum(axis=0).reshape(3, 4))
+    # a numpy scalar would print as np.float64(...) in a config or CSV value
+    assert type(acc.sum1) is float and type(acc.mean1) is float
+    assert acc.sum1 == 13.0 and acc.mean1 == 6.5
+
+
 positive = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 

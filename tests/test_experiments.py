@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -9,7 +10,7 @@ from ghostsim.analysis import normalize_unit, pattern_errors
 from ghostsim.config import ExperimentConfig
 from ghostsim.correlation import coherence_map
 from ghostsim import experiments
-from ghostsim.errors import ConfigError, GeometryError, RecordFormatError
+from ghostsim.errors import BatchRangeError, ConfigError, GeometryError, RecordFormatError
 from ghostsim.experiments import (
     GhostPipeline,
     batch_bounds,
@@ -36,7 +37,7 @@ from ghostsim.propagation import (
     propagate,
     propagate_to_point,
 )
-from ghostsim.records import RecordWriter
+from ghostsim.records import RecordWriter, open_records
 from ghostsim.analysis import split_bands
 
 
@@ -296,6 +297,27 @@ def test_threshold_search_leaves_no_thread_behind():
     search = run_threshold(small_config(schedule=(200, 400, 800, 1600), tau=1.0))
     assert search.n_star == 200
     assert threading.active_count() == before
+
+
+def test_fold_checkpoints_records_exactly_the_batches_it_folds(tmp_path):
+    cfg = small_config(detector_points=3)
+    grid = cfg.detector_grid()
+    rows = [np.arange(k, k + 4 * n, dtype=float).reshape(n, 4) for k, n in ((1, 2), (5, 3))]
+    # finite values whose cross sum i1 @ i2 = 2e400 overflows: refused
+    rows.append(np.full((2, 4), 1e200))
+    header = record_header_for(cfg)
+    with RecordWriter(tmp_path / "folded.gidat", header) as writer:
+        folded = experiments.fold_checkpoints(
+            grid, ((r[:, 0], r[:, 1:]) for r in rows), (2, 5, 7), writer
+        )
+        assert [n for n, _ in itertools.islice(folded, 2)] == [2, 5]
+        with pytest.raises(BatchRangeError, match="overflow"):
+            next(folded)
+    with RecordWriter(tmp_path / "by_hand.gidat", header) as writer:
+        for r in rows[:2]:
+            writer.append(r[:, 0], r[:, 1:])
+    assert open_records(tmp_path / "folded.gidat").n_records == 5
+    assert (tmp_path / "folded.gidat").read_bytes() == (tmp_path / "by_hand.gidat").read_bytes()
 
 
 def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):

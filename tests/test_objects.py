@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghostsim.errors import GridMismatchError
+from ghostsim.errors import GeometryError, GridMismatchError
 from ghostsim.fields import ComplexField
 from ghostsim.grids import make_grid
 from ghostsim.objects import (
@@ -54,6 +54,14 @@ def test_double_slit_rejects_bad_geometry():
         double_slit(-1e-6, 5e-6, grid)
     with pytest.raises(ValueError):
         double_slit(1e-6, 2e-6, make_grid(2, 8, 1e-6))
+    # openings past the outermost samples: wholly, or the outer edges only
+    # (204 um against a +/-175 um grid), which would be scored unclipped
+    for a, b, grid_ in ((1e-3, 2e-3, make_grid(1, 561, 0.75e-6)),
+                        (A, B, make_grid(1, 141, 2.5e-6)),
+                        (A, B, make_grid(1, 3, 0.75e-6)),
+                        (A, B, make_grid(1, 409, 1e-6, origin=0.5e-6))):
+        with pytest.raises(GeometryError, match="exceeds the object grid"):
+            double_slit(a, b, grid_)
 
 
 def test_apply_mask():
