@@ -187,22 +187,25 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
     return [config.replace(seed=s) for s in _seeds(args.seed)]
 
 
-def _emit_converge(out: Path, result: ConvergenceResult) -> list[Path]:
-    outputs = [out / "curve.csv"]
+def _emit_converge(args, config: ExperimentConfig, out: Path, result: ConvergenceResult,
+                   outputs: list[Path]):
+    """Write the curve, the patterns and the manifest after ``outputs``, the files
+    the run already wrote, and print the curve."""
+    outputs = [*outputs, out / "curve.csv"]
     write_curve_csv(out / "curve.csv", result.curve)
     for n, snapshot in result.snapshots:
         path = out / f"pattern_N{n}.csv"
         write_pattern_csv(path, snapshot, result.reference)
         outputs.append(path)
-    return outputs
-
-
-def _print_curve(result: ConvergenceResult) -> None:
+    write_manifest(out / "manifest.json", args.command, config, outputs,
+                   result.sampling_notes, result.stream)
     for p in result.curve:
         print(
             f"N={p.n}: eps_global={p.eps_global:.5f} "
             f"eps_low={p.eps_low:.5f} eps_high={p.eps_high:.5f}"
         )
+    print(f"wrote {len(outputs)} files to {out}")
+    return result, outputs + [out / "manifest.json"]
 
 
 def _warn_notes(notes) -> None:
@@ -218,29 +221,18 @@ def _warn_notes(notes) -> None:
 def _cmd_converge(args, config: ExperimentConfig, out: Path):
     pipeline = GhostPipeline.from_config(config)
     _warn_notes(pipeline.sampling_notes)
-    pipeline.unit_reference()  # a flat reference is refused before the records file is made
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "records.gidat"] if config.write_records else []
     with (RecordWriter(outputs[0], record_header_for(config)) if outputs
           else nullcontext()) as writer:
         result = run_converge(config, record_writer=writer, pipeline=pipeline)
-    outputs.extend(_emit_converge(out, result))
-    write_manifest(out / "manifest.json", args.command, config, outputs,
-                   result.sampling_notes)
-    _print_curve(result)
-    print(f"wrote {len(outputs)} files to {out}")
-    return result, outputs + [out / "manifest.json"]
+    return _emit_converge(args, config, out, result, outputs)
 
 
 def _cmd_replay(args, config: ExperimentConfig, out: Path):
     result = replay_converge(config, args.records)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_converge(out, result)
-    write_manifest(out / "manifest.json", args.command, config, outputs,
-                   result.sampling_notes, result.stream)
-    _print_curve(result)
-    print(f"wrote {len(outputs)} files to {out}")
-    return result, outputs + [out / "manifest.json"]
+    return _emit_converge(args, config, out, result, [])
 
 
 def _sweep_notes(points) -> list[str]:

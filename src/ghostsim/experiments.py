@@ -44,13 +44,14 @@ import numpy as np
 from .analysis import (
     CurvePoint,
     ThresholdSearch,
+    banded_errors,
     coherence_length,
     half_width,
     kappa,
     min_n_to_threshold,
     normalize_unit,
-    pattern_errors,
 )
+from .analysis import pattern_errors  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .config import ExperimentConfig
 from .correlation import CorrelationAccumulator, coherence_map
 from .errors import ConfigError, DegeneratePatternError, NoPeakError, RecordFormatError
@@ -83,7 +84,7 @@ class GhostPipeline:
     test_weights: np.ndarray  # v on the in-aperture pixels, shape (n_in,)
     ref_nodes: np.ndarray  # K from the in-aperture pixels to m nodes, shape (n_in, m)
     ref_interp: np.ndarray  # real interpolation from the nodes, shape (m, P)
-    reference: RealPattern
+    reference: RealPattern  # normalized over the comparison window, on its subgrid
     sampling_notes: tuple[str, ...]
 
     @classmethod
@@ -101,6 +102,11 @@ class GhostPipeline:
                 config.slit_width, config.slit_separation,
                 config.wavelength, config.d2, det,
             )
+        try:  # a flat reference (an opaque mask) leaves nothing to reconstruct
+            reference = normalize_unit(reference, config.window)
+        except DegeneratePatternError:
+            raise ConfigError("the reference pattern is flat over the comparison "
+                              "window (an opaque mask?): nothing to reconstruct") from None
         lam = config.wavelength
         x = source.coords(0)[spec.aperture_indices]
         # only the object pixels the point detector sees through the mask
@@ -152,15 +158,6 @@ class GhostPipeline:
         np.multiply(a2, a2, out=a2)
         np.add(a2[:b], a2[b:], out=i2)
         return i1, i2
-
-    def unit_reference(self) -> RealPattern:
-        """The reference normalized over the comparison window; a flat one
-        (an opaque mask) leaves nothing to reconstruct and is refused."""
-        try:
-            return normalize_unit(self.reference, self.config.window)
-        except DegeneratePatternError:
-            raise ConfigError("the reference pattern is flat over the comparison "
-                              "window (an opaque mask?): nothing to reconstruct") from None
 
     @functools.cached_property
     def covariance(self) -> np.ndarray:
@@ -297,30 +294,28 @@ class ConvergenceResult:
 
 
 def _score(pipeline: GhostPipeline, n: int, acc: CorrelationAccumulator):
-    """The reconstruction at a checkpoint and its errors against the reference."""
-    g = acc.finalize()
-    try:  # a flat reference is refused before any draw, so g is flat (G underflows)
-        eps = pattern_errors(g, pipeline.reference, pipeline.config.window)
+    """The reconstruction at a checkpoint, normalized over the comparison window
+    once, and its errors against the pipeline's reference, normalized alike."""
+    try:  # from_config refuses a flat reference, so a flat g means G underflowed
+        g = normalize_unit(acc.finalize(), pipeline.config.window)
     except DegeneratePatternError:
         raise DegeneratePatternError(f"the reconstruction at N={n} is constant over the "
                                      "comparison window") from None
-    return g, CurvePoint(n, *eps)
+    return g, CurvePoint(n, *banded_errors(g.samples, pipeline.reference.samples))
 
 
 def _convergence_result(pipeline: GhostPipeline, checkpoints,
                         stream: int = STREAM_VERSION) -> ConvergenceResult:
-    window = pipeline.config.window
-    reference = pipeline.unit_reference()  # before the first batch is pulled
     curve: list[CurvePoint] = []
     snaps: list[tuple[int, RealPattern]] = []
     for n, acc in checkpoints:
         g, point = _score(pipeline, n, acc)
         curve.append(point)
-        snaps.append((n, normalize_unit(g, window)))
+        snaps.append((n, g))
     return ConvergenceResult(
         curve=tuple(curve),
         snapshots=tuple(snaps),
-        reference=reference,
+        reference=pipeline.reference,
         sampling_notes=pipeline.sampling_notes,
         stream=stream,
     )
@@ -353,7 +348,6 @@ def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
     whose error reaches tau.
     """
     pipe = pipeline if pipeline is not None else GhostPipeline.from_config(config)
-    pipe.unit_reference()  # a flat reference is refused before any draw
     schedule = [n for n in config.schedule if config.n_max is None or n <= config.n_max]
     points = (
         _score(pipe, n, acc)[1]
@@ -366,7 +360,7 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     """Minimal-N search per aperture in phi_list; independent streams per entry."""
     if config.phi_list is None or len(config.phi_list) < 2:
         raise ConfigError("sweep requires phi_list with at least two apertures")
-    # every pipeline is built, so a too-wide aperture is refused, before any search runs
+    # every pipeline is built, so a bad aperture or reference is refused, before any search
     pipes = [GhostPipeline.from_config(config.replace(phi=phi)) for phi in config.phi_list]
     out: list[KappaPoint] = []
     for i, pipe in enumerate(pipes):

@@ -25,7 +25,7 @@ class Grid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """Sample coordinates along one axis."""

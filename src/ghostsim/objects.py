@@ -91,7 +91,7 @@ def reference_from_mask(
     T is the Fourier transform of the transmittance; this is the ideal
     reconstruction for an arbitrary mask, usable when no closed form exists.
     A structureless transform (e.g. an opaque mask) is returned as-is, flat;
-    runs refuse it before any draw (``GhostPipeline.unit_reference``).
+    ``GhostPipeline.from_config`` refuses it, before any draw.
     """
     if mask.grid.ndim != 1 or grid_out.ndim != 1:
         raise ValueError("reference_from_mask requires 1D grids")

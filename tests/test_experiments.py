@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ghostsim.analysis import normalize_unit, pattern_errors
 from ghostsim.config import ExperimentConfig
 from ghostsim.correlation import coherence_map
-from ghostsim import experiments
+from ghostsim import analysis, experiments
 from ghostsim.errors import BatchRangeError, ConfigError, GeometryError, RecordFormatError
 from ghostsim.experiments import (
     GhostPipeline,
@@ -184,16 +184,29 @@ def test_run_realization_deterministic_across_calls():
     assert not np.array_equal(p2c, p2a)
 
 
-def test_opaque_mask_kills_scalar_arm_and_covariance(tmp_path):
+def test_an_opaque_mask_is_refused_when_the_pipeline_is_built(tmp_path):
     mask_path = tmp_path / "opaque.txt"
     np.savetxt(mask_path, np.zeros(141))
     cfg = small_config(mask_file=str(mask_path), schedule=(64, 200))
-    pipe = GhostPipeline.from_config(cfg)
-    i1, i2 = pipe.batch_intensities(0, 64)
-    assert np.all(i1 == 0.0)
-    assert np.all(i2 > 0.0)  # the reference arm never sees the object
-    for _, acc in iter_checkpoints(pipe, cfg.schedule):
-        assert np.all(acc.finalize().samples == 0.0)
+    with pytest.raises(ConfigError, match="reference pattern is flat"):
+        GhostPipeline.from_config(cfg)
+
+
+def test_each_checkpoint_normalizes_once_and_the_reference_once_per_pipeline(monkeypatch):
+    calls = []
+    normalize = analysis.normalize_unit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "normalize_unit", counting)
+    monkeypatch.setattr(experiments, "normalize_unit", counting)
+    cfg = small_config(schedule=(64, 200, 500), window=(8, 55))
+    res = run_converge(cfg)
+    assert len(calls) == len(cfg.schedule) + 1
+    assert res.reference.grid == res.snapshots[0][1].grid
+    assert res.reference.grid.shape == (48,)
 
 
 def test_mean_reference_intensity_is_flat_while_covariance_carries_fringes():
