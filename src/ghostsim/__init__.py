@@ -51,6 +51,7 @@ from .experiments import (
     run_kappa_sweep,
     run_speckle,
     run_threshold,
+    sampling_notes,
 )
 from .fields import (
     ComplexField,

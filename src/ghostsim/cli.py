@@ -36,6 +36,7 @@ from .experiments import (
     run_converge,
     run_kappa_sweep,
     run_speckle,
+    sampling_notes,
 )
 from .fields import STREAM_VERSION
 from .records import RecordWriter
@@ -187,8 +188,8 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
     return [config.replace(seed=s) for s in _seeds(args.seed)]
 
 
-def _emit_converge(args, config: ExperimentConfig, out: Path, result: ConvergenceResult,
-                   outputs: list[Path]):
+def _emit_converge(args, config: ExperimentConfig, out: Path, notes,
+                   result: ConvergenceResult, outputs: list[Path]):
     """Write the curve, the patterns and the manifest after ``outputs``, the files
     the run already wrote, and print the curve."""
     outputs = [*outputs, out / "curve.csv"]
@@ -197,8 +198,7 @@ def _emit_converge(args, config: ExperimentConfig, out: Path, result: Convergenc
         path = out / f"pattern_N{n}.csv"
         write_pattern_csv(path, snapshot, result.reference)
         outputs.append(path)
-    write_manifest(out / "manifest.json", args.command, config, outputs,
-                   result.sampling_notes, result.stream)
+    write_manifest(out / "manifest.json", args.command, config, outputs, notes, result.stream)
     for p in result.curve:
         print(
             f"N={p.n}: eps_global={p.eps_global:.5f} "
@@ -208,41 +208,40 @@ def _emit_converge(args, config: ExperimentConfig, out: Path, result: Convergenc
     return result, outputs + [out / "manifest.json"]
 
 
-def _warn_notes(notes) -> None:
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
+def _sampling_notes(command: str, config: ExperimentConfig) -> tuple[str, ...]:
+    """The sampling warnings of a command, from its config alone: each aperture's
+    prefixed with its phi for ``sweep-kappa``, none for ``speckle``."""
+    if command == "speckle":
+        return ()
+    if command == "sweep-kappa":
+        return tuple(f"phi={phi:.6g} m: {note}" for phi in config.phi_list or ()
+                     for note in sampling_notes(config.replace(phi=phi)))
+    return sampling_notes(config)
 
 
-# Each command runs one config into one directory and returns its result
-# and the files it wrote, manifest last.  It makes the directory only once
-# the run is past its refusals, so a refused run leaves none behind.
+# Each command runs one config into one directory, its manifest recording
+# ``notes``, and returns its result and the files it wrote, manifest last.  It
+# makes the directory only once past its refusals, so a refused run leaves none.
 
 
-def _cmd_converge(args, config: ExperimentConfig, out: Path):
+def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
     pipeline = GhostPipeline.from_config(config)
-    _warn_notes(pipeline.sampling_notes)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "records.gidat"] if config.write_records else []
     with (RecordWriter(outputs[0], record_header_for(config)) if outputs
           else nullcontext()) as writer:
         result = run_converge(config, record_writer=writer, pipeline=pipeline)
-    return _emit_converge(args, config, out, result, outputs)
+    return _emit_converge(args, config, out, notes, result, outputs)
 
 
-def _cmd_replay(args, config: ExperimentConfig, out: Path):
+def _cmd_replay(args, config: ExperimentConfig, out: Path, notes):
     result = replay_converge(config, args.records)
     out.mkdir(parents=True, exist_ok=True)
-    return _emit_converge(args, config, out, result, [])
+    return _emit_converge(args, config, out, notes, result, [])
 
 
-def _sweep_notes(points) -> list[str]:
-    return [f"phi={p.phi:.6g} m: {note}" for p in points for note in p.sampling_notes]
-
-
-def _cmd_sweep(args, config: ExperimentConfig, out: Path):
+def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):
     points = run_kappa_sweep(config)
-    notes = _sweep_notes(points)
-    _warn_notes(notes)
     out.mkdir(parents=True, exist_ok=True)
     write_kappa_csv(out / "kappa.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"], notes)
@@ -255,7 +254,7 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path):
     return points, [out / "kappa.csv", out / "manifest.json"]
 
 
-def _cmd_speckle(args, config: ExperimentConfig, out: Path):
+def _cmd_speckle(args, config: ExperimentConfig, out: Path, notes):
     points = run_speckle(config)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "speckle.csv"]
@@ -266,7 +265,7 @@ def _cmd_speckle(args, config: ExperimentConfig, out: Path):
         write_grid_csv(ipath, p.snapshot)
         write_grid_csv(cpath, p.coherence)
         outputs.extend([ipath, cpath])
-    write_manifest(out / "manifest.json", args.command, config, outputs)
+    write_manifest(out / "manifest.json", args.command, config, outputs, notes)
     for p in points:
         print(f"phi={p.phi:.6g} m: l_c={p.l_c:.6g} m "
               f"fwhm=({p.fwhm_axis0:.6g}, {p.fwhm_axis1:.6g}) m over N={p.n}")
@@ -280,27 +279,26 @@ _COMMANDS = {
     "speckle": _cmd_speckle,
 }
 
-# The commands that take a seed list, with the file of medians over the seeds
-# and the sampling notes of a run's result (they do not depend on the seed).
+# The commands that take a seed list, with the file of medians over the seeds.
 _MEDIANS = {
-    "converge": ("curve_median.csv", write_curve_median_csv, lambda r: r.sampling_notes),
-    "sweep-kappa": ("kappa_median.csv", write_kappa_median_csv, _sweep_notes),
+    "converge": ("curve_median.csv", write_curve_median_csv),
+    "sweep-kappa": ("kappa_median.csv", write_kappa_median_csv),
 }
 
 
-def _run_seeds(args, configs: list[ExperimentConfig], out: Path) -> None:
+def _run_seeds(args, configs: list[ExperimentConfig], out: Path, notes) -> None:
     """One run per seed into ``seed<s>/``, then the medians and a manifest."""
-    name, write_median, notes_of = _MEDIANS[args.command]
-    results, outputs = [], []
+    name, write_median = _MEDIANS[args.command]
+    run, results, outputs = _COMMANDS[args.command], [], []
     for config in configs:
         print(f"seed {config.seed}:")
-        result, written = _COMMANDS[args.command](args, config, out / f"seed{config.seed}")
+        result, written = run(args, config, out / f"seed{config.seed}", notes)
         results.append(result)
         outputs.extend(written)
     write_median(out / name, results)
     outputs.append(out / name)
-    write_manifest(out / "manifest.json", args.command, configs[0], outputs,
-                   notes_of(results[0]), seeds=[c.seed for c in configs])
+    write_manifest(out / "manifest.json", args.command, configs[0], outputs, notes,
+                   seeds=[c.seed for c in configs])
     print(f"wrote {name} over {len(configs)} seeds to {out}")
 
 
@@ -312,10 +310,14 @@ def main(argv=None) -> int:
         if len(configs) > 1 and args.command not in _MEDIANS:
             raise ConfigError(f"{args.command} takes a single --seed, got {args.seed!r}")
         out = args.out_dir if args.out_dir is not None else Path(f"ghostsim-{args.command}")
+        # the notes do not depend on the seed: printed once, before any draw
+        notes = _sampling_notes(args.command, configs[0])
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         if len(configs) > 1:
-            _run_seeds(args, configs, out)
+            _run_seeds(args, configs, out, notes)
         else:
-            _COMMANDS[args.command](args, configs[0], out)
+            _COMMANDS[args.command](args, configs[0], out, notes)
         return 0
     except (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError, NoPeakError,
             RecordFormatError, OSError) as exc:

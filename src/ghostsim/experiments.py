@@ -76,7 +76,8 @@ _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 @dataclass(eq=False)
 class GhostPipeline:
-    """Precomputed operators for one geometry: build once, run millions."""
+    """Precomputed operators for one geometry: build once, run millions.
+    ``sampling_notes(config)`` checks their sampling from the config alone."""
 
     config: ExperimentConfig
     source_spec: SourceSpec
@@ -85,7 +86,6 @@ class GhostPipeline:
     ref_nodes: np.ndarray  # K from the in-aperture pixels to m nodes, shape (n_in, m)
     ref_interp: np.ndarray  # real interpolation from the nodes, shape (m, P)
     reference: RealPattern  # normalized over the comparison window, on its subgrid
-    sampling_notes: tuple[str, ...]
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "GhostPipeline":
@@ -114,11 +114,6 @@ class GhostPipeline:
         rows = np.flatnonzero(seen)
         v = seen[rows] @ fresnel_matrix(x, obj.coords(0)[rows], config.d1, lam, source.pitch[0])
         to_nodes, interp = chebyshev_factors(x, det.coords(0), config.d, lam, source.pitch[0])
-        notes = tuple(
-            f"{label}: {msg}"
-            for label, grid, z in (("test arm", obj, config.d1), ("reference arm", det, config.d))
-            for msg in validate_sampling(source, grid, z, lam)
-        )
         return cls(
             config=config,
             source_spec=spec,
@@ -127,7 +122,6 @@ class GhostPipeline:
             ref_nodes=to_nodes.T,
             ref_interp=interp.T,
             reference=reference,
-            sampling_notes=notes,
         )
 
     def batch_intensities(
@@ -180,6 +174,21 @@ class GhostPipeline:
         """Exact infinite-N mean intensities (scalar arm, reference arm)."""
         c, interp = self.covariance, self.ref_interp
         return c[0, 0].real, np.sum(interp * (c[1:, 1:] @ interp), axis=0).real
+
+
+def sampling_notes(config: ExperimentConfig) -> tuple[str, ...]:
+    """Sampling warnings of the operators ``GhostPipeline.from_config`` builds:
+    ``validate_sampling`` of the aperture's source coordinates, the only ones
+    they read, against the object grid at d1 and the detector grid at d."""
+    source = config.source_grid()
+    x = source.coords(0)[SourceSpec(source, config.phi, config.sigma2).aperture_indices]
+    arms = (("test arm", config.object_grid(), config.d1),
+            ("reference arm", config.detector_grid(), config.d))
+    return tuple(
+        f"{label}: {msg}"
+        for label, grid, z in arms
+        for msg in validate_sampling(x, grid.coords(0), z, config.wavelength, source.pitch[0])
+    )
 
 
 def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
@@ -289,7 +298,6 @@ class ConvergenceResult:
     curve: tuple[CurvePoint, ...]
     snapshots: tuple[tuple[int, RealPattern], ...]
     reference: RealPattern  # normalized over the comparison window
-    sampling_notes: tuple[str, ...]
     stream: int = STREAM_VERSION  # source stream of the folded intensities
 
 
@@ -316,7 +324,6 @@ def _convergence_result(pipeline: GhostPipeline, checkpoints,
         curve=tuple(curve),
         snapshots=tuple(snaps),
         reference=pipeline.reference,
-        sampling_notes=pipeline.sampling_notes,
         stream=stream,
     )
 
@@ -337,7 +344,6 @@ class KappaPoint:
     phi: float
     kappa: float
     search: ThresholdSearch
-    sampling_notes: tuple[str, ...]  # the notes of this aperture's pipeline
 
 
 def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
@@ -367,8 +373,7 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
         cfg = pipe.config
         l_c = coherence_length(cfg.wavelength, cfg.d1, cfg.phi)
         search = run_threshold(cfg, index_base=i * _STREAM_STRIDE, pipeline=pipe)
-        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search,
-                              sampling_notes=pipe.sampling_notes))
+        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search))
     return out
 
 

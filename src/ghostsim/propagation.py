@@ -182,33 +182,22 @@ def propagate_to_point(field_in: ComplexField, point, distance: float) -> comple
 
 
 def validate_sampling(
-    grid_in: Grid, grid_out: Grid, distance: float, wavelength: float
+    x: np.ndarray, y: np.ndarray, distance: float, wavelength: float, dx: float
 ) -> list[str]:
-    """Aliasing and paraxial checks of propagation from grid_in to grid_out;
-    returns human-readable warnings (empty if clean).
+    """Aliasing and paraxial checks of ``fresnel_matrix(x, y, distance,
+    wavelength, dx)``; returns human-readable warnings (empty if clean).
 
-    For the 1D direct form (``fresnel_kernel``) the chirp argument spans
-    input-to-output offsets, so the phase step between adjacent input samples
-    is bounded with W = half input extent + half output extent + |origin
-    shift|.  For 2D grids (``fft_chirp``) only the input chirp is sampled, so
-    W = half input extent.
+    Along x each row is the chirp exp(j k (y - x)^2 / (2 z)), whose phase
+    steps by k dx W / z between adjacent samples at W = max|y - x|, the
+    largest offset the matrix holds; a step above pi aliases.  The paraxial
+    form needs the half angle W / z below 0.1.
     """
     out: list[str] = []
-    k = 2.0 * np.pi / wavelength
-    z = distance
-    for a in range(grid_in.ndim):
-        half_in = grid_in.extent(a) / 2.0
-        half_out = grid_out.extent(a) / 2.0
-        shift = abs(grid_out.origin[a] - grid_in.origin[a])
-        w = half_in if grid_in.ndim == 2 else half_in + half_out + shift
-        step = k * grid_in.pitch[a] * w / z
-        if step > np.pi:
-            out.append(
-                f"chirp undersampled on axis {a}: edge phase step {step:.3g} rad > pi"
-            )
-        angle = (half_in + half_out + shift) / z
-        if angle > 0.1:
-            out.append(
-                f"paraxial limit strained on axis {a}: half angle {angle:.3g} rad > 0.1"
-            )
+    w = max(y.max() - x.min(), x.max() - y.min())
+    step = 2.0 * np.pi / wavelength * dx * w / distance
+    if step > np.pi:
+        out.append(f"chirp undersampled on axis 0: edge phase step {step:.3g} rad > pi")
+    angle = w / distance
+    if angle > 0.1:
+        out.append(f"paraxial limit strained on axis 0: half angle {angle:.3g} rad > 0.1")
     return out

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,10 @@ phi = 0.8e-3
 schedule = 200, 500
 batch = 128
 """
+
+
+# a 30 um source pitch undersamples the test arm's chirp over the 0.8 mm aperture
+COARSE = SMALL.replace("source_pitch = 8e-6", "source_pitch = 30e-6")
 
 
 def write_config(tmp_path, extra="", name="run.cfg"):
@@ -291,8 +296,7 @@ def test_sweep_kappa_csv_schema_and_arithmetic(tmp_path, capsys):
 
     # a 30 um source pitch undersamples the test arm's chirp at every aperture
     coarse = tmp_path / "coarse.cfg"
-    coarse.write_text(SMALL.replace("source_pitch = 8e-6", "source_pitch = 30e-6")
-                      + "phi_list = 1.2e-3, 2.4e-3\n")
+    coarse.write_text(COARSE + "phi_list = 1.2e-3, 2.4e-3\n")
     out = tmp_path / "coarse"
     assert main([
         "sweep-kappa", "--config", str(coarse), "--out-dir", str(out), "--tau", "1.0",
@@ -333,6 +337,10 @@ def test_bands_rows_bracket_the_global_error(tmp_path):
         if min(el, eh) < eg < max(el, eh):
             bracketed += 1
     assert bracketed > 0  # forced by the identity whenever eps_low != eps_high
+
+
+def warnings_of(notes):
+    return "".join(f"warning: {note}\n" for note in notes)
 
 
 def files_under(root):
@@ -400,19 +408,56 @@ def test_two_seed_sweep_matches_single_seed_runs_and_writes_medians(tmp_path):
     assert "kappa_median.csv" in doc["outputs"] and "seed1/kappa.csv" in doc["outputs"]
 
 
-def test_two_seed_manifest_carries_the_sampling_notes(tmp_path):
-    # the 10 um source undersamples the test-arm chirp, so every run has notes
+def test_two_seed_manifest_carries_the_sampling_notes(tmp_path, capsys):
+    # over the 3.04 and 3.648 mm apertures the 10 um source undersamples the
+    # test-arm chirp, so every run has notes
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text("source_points = 512\nsource_pitch = 10e-6\n"
-                   "phi_list = 4e-4, 8e-4\nschedule = 200, 500\ntau = 0.9\n")
+                   "phi_list = 3.04e-3, 3.648e-3\nschedule = 200, 500\ntau = 0.9\n")
     out = tmp_path / "multi"
     assert main(["sweep-kappa", "--config", str(cfg), "--seed", "0,1",
                  "--out-dir", str(out)]) == 0
     top = json.loads((out / "manifest.json").read_text())["sampling_notes"]
     assert top and all("chirp undersampled" in note for note in top)
+    assert capsys.readouterr().err == warnings_of(top)  # once, not once per seed
     for seed in (0, 1):
         doc = json.loads((out / f"seed{seed}" / "manifest.json").read_text())
         assert doc["sampling_notes"] == top
+
+
+def test_a_sweep_prints_its_warnings_before_its_first_draw(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE + "phi_list = 1.2e-3, 2.4e-3\n")
+    draw, errs, lock = experiments.draw_source_block, [], threading.Lock()
+
+    def first_draw_reads_stderr(*args, **kwargs):
+        with lock:  # both threads draw the first block
+            if not errs:
+                errs.append(capsys.readouterr().err)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_source_block", first_draw_reads_stderr)
+    out = tmp_path / "out"
+    assert main(["sweep-kappa", "--config", str(cfg), "--tau", "1.0",
+                 "--out-dir", str(out)]) == 0
+    notes = json.loads((out / "manifest.json").read_text())["sampling_notes"]
+    assert {n.split(":")[0] for n in notes} == {"phi=0.0012 m", "phi=0.0024 m"}
+    assert errs == [warnings_of(notes)]
+
+
+def test_replay_prints_and_records_the_warnings_of_its_live_run(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE)
+    live, replayed = tmp_path / "live", tmp_path / "replayed"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(live)]) == 0
+    err = capsys.readouterr().err
+    assert main(["replay", "--config", str(cfg), "--records", str(live / "records.gidat"),
+                 "--out-dir", str(replayed)]) == 0
+    assert err.startswith("warning: test arm: chirp undersampled")
+    assert capsys.readouterr().err == err
+    notes = [json.loads((d / "manifest.json").read_text())["sampling_notes"]
+             for d in (live, replayed)]
+    assert warnings_of(notes[0]) == err and notes[1] == notes[0]
 
 
 @pytest.mark.parametrize("command", [["replay", "--records", "r.gidat"], ["speckle"]])

@@ -21,6 +21,7 @@ from ghostsim.experiments import (
     run_kappa_sweep,
     run_speckle,
     run_threshold,
+    sampling_notes,
 )
 from ghostsim.fields import (
     RngStream,
@@ -190,6 +191,23 @@ def test_an_opaque_mask_is_refused_when_the_pipeline_is_built(tmp_path):
     cfg = small_config(mask_file=str(mask_path), schedule=(64, 200))
     with pytest.raises(ConfigError, match="reference pattern is flat"):
         GhostPipeline.from_config(cfg)
+
+
+def test_sampling_notes_check_the_aperture_pixels_only():
+    # the kappa study's 10 um source: its 5.12 mm grid read whole gives a
+    # 5.44 rad test-arm step at every aperture; the apertures' own pixels
+    # alias only from phi 3.04 mm on
+    cfg = ExperimentConfig(source_points=512, source_pitch=10e-6)
+    assert sampling_notes(cfg.replace(phi=1.216e-3)) == ()
+    assert sampling_notes(cfg.replace(phi=2.432e-3)) == ()
+    assert sampling_notes(cfg.replace(phi=3.648e-3)) == (
+        "test arm: chirp undersampled on axis 0: edge phase step 3.99 rad > pi",)
+    # an aperture spanning its 30 um grid reads every pixel, as the grid check did
+    coarse = small_config(source_pitch=30e-6)
+    assert sampling_notes(coarse.replace(phi=coarse.source_grid().extent(0))) == (
+        "test arm: chirp undersampled on axis 0: edge phase step 12.5 rad > pi",
+        "reference arm: chirp undersampled on axis 0: edge phase step 5.5 rad > pi",
+    )
 
 
 def test_each_checkpoint_normalizes_once_and_the_reference_once_per_pipeline(monkeypatch):

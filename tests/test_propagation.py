@@ -53,7 +53,8 @@ def test_gaussian_beam_matches_closed_form(w0, z):
     wz = beam_radius(z, w0)
     grid_out = make_grid(1, 256, 5.0 * wz / 256)
     kern = fresnel_kernel(field.grid, grid_out, z, LAM)
-    assert validate_sampling(field.grid, grid_out, z, LAM) == []
+    x, dx = field.grid.coords(0), field.grid.pitch[0]
+    assert validate_sampling(x, grid_out.coords(0), z, LAM, dx) == []
     got = propagate(field, kern).samples
     want = gaussian_closed_form(grid_out.coords(0), z, w0)
     assert np.max(np.abs(got - want)) < 0.01 * np.max(np.abs(want))
@@ -209,7 +210,6 @@ def test_fft_gaussian_beam_2d():
     y = grid_in.coords(1)[None, :]
     samples = np.exp(-(x**2 + y**2) / w0**2)
     grid_out = fft_output_grid(grid_in, z, LAM)
-    assert validate_sampling(grid_in, grid_out, z, LAM) == []
     got = fft_intensity(samples, grid_in, z)
     wz = beam_radius(z, w0)
     u = grid_out.coords(0)[:, None]
@@ -243,15 +243,29 @@ def test_default_experiment_kernels_sample_cleanly():
     source = make_grid(1, 512, 4e-6)
     obj = make_grid(1, 561, 0.75e-6)
     det = make_grid(1, 256, 1.557e-6)
-    assert validate_sampling(source, obj, 0.060, LAM) == []
-    assert validate_sampling(source, det, 0.135, LAM) == []
+    x = source.coords(0)
+    assert validate_sampling(x, obj.coords(0), 0.060, LAM, 4e-6) == []
+    assert validate_sampling(x, det.coords(0), 0.135, LAM, 4e-6) == []
 
 
 def test_validate_sampling_flags_bad_geometry():
-    coarse = make_grid(1, 64, 40e-6)
-    wide = make_grid(1, 64, 40e-6)
-    msgs = validate_sampling(coarse, wide, 0.005, LAM)
+    coarse = make_grid(1, 64, 40e-6).coords(0)
+    msgs = validate_sampling(coarse, coarse, 0.005, LAM, 40e-6)
     assert any("chirp" in m for m in msgs)
-    near = make_grid(1, 512, 10e-6)
-    msgs = validate_sampling(near, near, 0.01, LAM)
+    near = make_grid(1, 512, 10e-6).coords(0)
+    msgs = validate_sampling(near, near, 0.01, LAM, 10e-6)
     assert any("paraxial" in m for m in msgs)
+
+
+def test_validate_sampling_reads_the_largest_offset_of_its_coordinates():
+    # the chirp aliases once W = max|y - x| passes lambda z / (2 dx) = 1.6 mm
+    x = make_grid(1, 640, 10e-6).coords(0)  # +-3.2 mm
+    central = x[np.abs(x) <= 0.5e-3]
+    for y in (0.5e-3, 2e-3, -2e-3):
+        w = abs(y) + central.max()  # central is symmetric about the axis
+        step = 2.0 * np.pi / LAM * 10e-6 * w / 0.06
+        want = [f"chirp undersampled on axis 0: edge phase step {step:.3g} rad > pi"]
+        got = validate_sampling(central, np.array([y]), 0.06, LAM, 10e-6)
+        assert got == (want if w > 1.6e-3 else [])
+    # the whole grid against the axis alone aliases: its edge is 3.2 mm out
+    assert len(validate_sampling(x, np.zeros(1), 0.06, LAM, 10e-6)) == 1
