@@ -57,13 +57,22 @@ def write_curve_csv(path: Path, curve) -> None:
                ((p.n, p.eps_global, p.eps_low, p.eps_high) for p in curve))
 
 
-def write_pattern_csv(path: Path, reconstruction, reference) -> None:
+def _pattern_columns(reference) -> tuple[list[str], list[str]]:
+    """The two columns every pattern file of a run shares, formatted once: each
+    pixel's position with the comma after it, and its reference value with the
+    comma before it."""
     # format_value's float rule, repr of a Python float, inlined: replay
     # writes these files on every command
-    rows = zip(reconstruction.grid.coords(0).tolist(), reconstruction.samples.tolist(),
-               reference.samples.tolist())
+    return ([f"{x!r}," for x in reference.grid.coords(0).tolist()],
+            [f",{y!r}" for y in reference.samples.tolist()])
+
+
+def write_pattern_csv(path: Path, reconstruction, columns) -> None:
+    """One pattern file: the reconstruction between the ``_pattern_columns``."""
+    positions, references = columns
     _write_lines(path, ["position_m,reconstruction,reference"]
-                 + [f"{x!r},{yr!r},{yt!r}" for x, yr, yt in rows])
+                 + [f"{x}{y!r}{r}" for x, y, r in
+                    zip(positions, reconstruction.samples.tolist(), references)])
 
 
 def write_kappa_csv(path: Path, points) -> None:
@@ -194,9 +203,10 @@ def _emit_converge(args, config: ExperimentConfig, out: Path, notes,
     the run already wrote, and print the curve."""
     outputs = [*outputs, out / "curve.csv"]
     write_curve_csv(out / "curve.csv", result.curve)
+    columns = _pattern_columns(result.reference)
     for n, snapshot in result.snapshots:
         path = out / f"pattern_N{n}.csv"
-        write_pattern_csv(path, snapshot, result.reference)
+        write_pattern_csv(path, snapshot, columns)
         outputs.append(path)
     write_manifest(out / "manifest.json", args.command, config, outputs, notes, result.stream)
     for p in result.curve:

@@ -13,9 +13,11 @@ in-aperture columns and the draw produces only those pixels.  K is smooth
 across the detector, so it is held as the propagator to a few dozen
 Chebyshev nodes followed by a real interpolation to the detector pixels:
 a batch of realizations is one complex GEMM to the nodes and one real GEMM
-from them.
+from them.  ``GhostPipeline`` builds v and K on first use, so a live run
+builds them with its first batch and replay, which folds stored
+intensities, never does.
 
-Every run is one fold: ``fold_checkpoints`` folds batches cut by
+Every run is one fold: ``fold_checkpoints`` folds batches cut lazily by
 ``batch_bounds`` (fixed by the schedule and the batch size alone) in index
 order into one accumulator on the calling thread, records each batch it
 accepts, and hands the accumulator out at each scheduled N to be scored.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +61,8 @@ from .errors import ConfigError, DegeneratePatternError, NoPeakError, RecordForm
 from .fields import STREAM_VERSION, RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .grids import Grid
-from .objects import double_slit, load_mask, reference_double_slit, reference_from_mask
+from .objects import (TransmissionMask, double_slit, load_mask, reference_double_slit,
+                      reference_from_mask)
 from .propagation import (
     chebyshev_factors,
     fft_chirp,
@@ -76,23 +80,26 @@ _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 @dataclass(eq=False)
 class GhostPipeline:
-    """Precomputed operators for one geometry: build once, run millions.
-    ``sampling_notes(config)`` checks their sampling from the config alone."""
+    """One geometry's source, mask and normalized reference, checked when it is
+    made, and the operators of its two arms, built on first use.
+
+    ``from_config`` refuses a bad aperture, mask or reference before any draw
+    and builds no operator, so replay, which reads only the reference, never
+    builds one; a live run builds them on its worker thread with batch 0.
+    ``sampling_notes(config)`` checks their sampling from the config alone.
+    """
 
     config: ExperimentConfig
     source_spec: SourceSpec
     detector_grid: Grid
-    test_weights: np.ndarray  # v on the in-aperture pixels, shape (n_in,)
-    ref_nodes: np.ndarray  # K from the in-aperture pixels to m nodes, shape (n_in, m)
-    ref_interp: np.ndarray  # real interpolation from the nodes, shape (m, P)
+    mask: TransmissionMask  # on the object grid: the test arm sees through it
     reference: RealPattern  # normalized over the comparison window, on its subgrid
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "GhostPipeline":
-        source = config.source_grid()
         obj = config.object_grid()
         det = config.detector_grid()
-        spec = SourceSpec(source, config.phi, config.sigma2)
+        spec = SourceSpec(config.source_grid(), config.phi, config.sigma2)
         if config.mask_file is not None:
             mask = load_mask(config.mask_file, obj)
             reference = reference_from_mask(mask, config.wavelength, config.d2, det)
@@ -107,22 +114,37 @@ class GhostPipeline:
         except DegeneratePatternError:
             raise ConfigError("the reference pattern is flat over the comparison "
                               "window (an opaque mask?): nothing to reconstruct") from None
+        return cls(config=config, source_spec=spec, detector_grid=det, mask=mask,
+                   reference=reference)
+
+    @functools.cached_property
+    def _operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(test_weights, ref_nodes, ref_interp), built together on first read."""
+        config, source, obj = self.config, self.source_spec.grid, self.mask.grid
         lam = config.wavelength
-        x = source.coords(0)[spec.aperture_indices]
+        x = source.coords(0)[self.source_spec.aperture_indices]
         # only the object pixels the point detector sees through the mask
-        seen = point_weights(obj, 0.0, config.d2, lam) * mask.samples
+        seen = point_weights(obj, 0.0, config.d2, lam) * self.mask.samples
         rows = np.flatnonzero(seen)
         v = seen[rows] @ fresnel_matrix(x, obj.coords(0)[rows], config.d1, lam, source.pitch[0])
-        to_nodes, interp = chebyshev_factors(x, det.coords(0), config.d, lam, source.pitch[0])
-        return cls(
-            config=config,
-            source_spec=spec,
-            detector_grid=det,
-            test_weights=v,
-            ref_nodes=to_nodes.T,
-            ref_interp=interp.T,
-            reference=reference,
-        )
+        to_nodes, interp = chebyshev_factors(x, self.detector_grid.coords(0), config.d, lam,
+                                             source.pitch[0])
+        return v, to_nodes.T, interp.T
+
+    @property
+    def test_weights(self) -> np.ndarray:
+        """v on the in-aperture pixels, shape (n_in,)."""
+        return self._operators[0]
+
+    @property
+    def ref_nodes(self) -> np.ndarray:
+        """K from the in-aperture pixels to m nodes, shape (n_in, m)."""
+        return self._operators[1]
+
+    @property
+    def ref_interp(self) -> np.ndarray:
+        """Real interpolation from the nodes, shape (m, P)."""
+        return self._operators[2]
 
     def batch_intensities(
         self, start: int, stop: int, index_base: int = 0
@@ -177,7 +199,7 @@ class GhostPipeline:
 
 
 def sampling_notes(config: ExperimentConfig) -> tuple[str, ...]:
-    """Sampling warnings of the operators ``GhostPipeline.from_config`` builds:
+    """Sampling warnings of the operators a ``GhostPipeline`` builds:
     ``validate_sampling`` of the aperture's source coordinates, the only ones
     they read, against the object grid at d1 and the detector grid at d."""
     source = config.source_grid()
@@ -191,18 +213,20 @@ def sampling_notes(config: ExperimentConfig) -> tuple[str, ...]:
     )
 
 
-def batch_bounds(total: int, schedule, batch: int) -> list[tuple[int, int]]:
-    """Fixed batch boundaries: every multiple of ``batch`` plus every checkpoint.
+def batch_bounds(total: int, schedule, batch: int) -> Iterator[tuple[int, int]]:
+    """Fixed batch boundaries, yielded in order: every multiple of ``batch``
+    plus every checkpoint, up to ``total``.
 
     Determined by the run configuration alone, so live runs and replay fold
-    the same batches in the same order.
+    the same batches in the same order.  Lazy: a budget of any size costs
+    nothing before its first batch.
     """
-    cuts = sorted(
-        {n for n in schedule if n <= total}
-        | set(range(batch, total, batch))
-        | {total}
-    )
-    return list(zip([0] + cuts[:-1], cuts))
+    a = 0
+    for mark in sorted({n for n in schedule if n < total} | {total}):
+        while a < mark:
+            b = min(mark, (a // batch + 1) * batch)
+            yield a, b
+            a = b
 
 
 def fold_checkpoints(
@@ -240,36 +264,44 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
     mark nothing is drawn ahead: both threads draw the next block when the
     fold pulls it, so a search that stops at a mark draws nothing it does not
     fold.  Batch k + 1 is computed once the fold pulls it, so ``intensities``
-    may reuse its output buffers.
+    may reuse its output buffers.  ``bounds`` is read one bound ahead.
     """
-    sizes = [b - a for a, b in bounds]
-    blocks = [np.empty((max(sizes), spec.aperture_indices.size), dtype=np.complex128)
-              for _ in range(2)]
+    width = spec.aperture_indices.size
+    buffers = [np.empty((0, width), dtype=np.complex128)] * 2
 
-    def draw(k: int, claim) -> None:
-        """Draw the rows of block k that ``claim`` hands out."""
-        draw_source_block(spec, seed, index_base + bounds[k][0], sizes[k],
-                          out=blocks[k % 2][: sizes[k]], claim=claim)
+    def block(k: int, a: int, b: int) -> np.ndarray:
+        """The rows of block k, [a, b): buffer k % 2, enlarged if it is short."""
+        if len(buffers[k % 2]) < b - a:
+            buffers[k % 2] = np.empty((b - a, width), dtype=np.complex128)
+        return buffers[k % 2][: b - a]
 
-    def compute(k: int, next_rows: deque | None) -> tuple[np.ndarray, np.ndarray]:
-        batch = intensities(blocks[k % 2][: sizes[k]])
-        if next_rows is not None:
-            draw(k + 1, next_rows.pop)
+    def draw(first: int, out: np.ndarray, claim) -> None:
+        """Draw the rows of ``out``, from realization ``first`` on, that ``claim`` hands out."""
+        draw_source_block(spec, seed, index_base + first, len(out), out=out, claim=claim)
+
+    def compute(current: np.ndarray, ahead: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        batch = intensities(current)
+        if ahead is not None:
+            draw(*ahead)
         return batch
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = False
-        for k, (_, b) in enumerate(bounds):
-            if not ahead:  # block k was not drawn ahead: both threads draw it now
-                rows = deque(range(sizes[k]))
-                theirs = worker.submit(draw, k, rows.pop)
-                draw(k, rows.popleft)
+        drawn = None  # block k, when it was drawn ahead
+        for k, ((a, b), after) in enumerate(itertools.pairwise(itertools.chain(bounds, [None]))):
+            if drawn is None:  # block k was not drawn ahead: both threads draw it now
+                drawn = block(k, a, b)
+                rows = deque(range(b - a))
+                theirs = worker.submit(draw, a, drawn, rows.pop)
+                draw(a, drawn, rows.popleft)
                 theirs.result()
-            ahead = b not in marks
-            rows = deque(range(sizes[k + 1])) if ahead else None
-            pending = worker.submit(compute, k, rows)
-            if ahead:
-                draw(k + 1, rows.popleft)
+            current, drawn = drawn, None
+            if b not in marks and after is not None:
+                drawn = block(k + 1, *after)
+                rows = deque(range(len(drawn)))
+                pending = worker.submit(compute, current, (after[0], drawn, rows.pop))
+                draw(after[0], drawn, rows.popleft)
+            else:
+                pending = worker.submit(compute, current, None)
             i1, i2 = pending.result()
             del pending  # the Future holds the batch too
             yield i1, i2
@@ -416,9 +448,10 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     normalized covariance against that pixel estimates the squared coherence
     factor, whose width is compared to wavelength * d1 / aperture.  The
     batches come from ``_live_batches``, as in a live run.  Only intensities
-    are needed, so each batch is the compact in-aperture block times its
-    entries of ``fft_chirp``, scattered onto the grid, through one ``fft2``
-    and |.|^2; the snapshot is the first realization.
+    are needed, so each field is the compact in-aperture block times its
+    entries of ``fft_chirp``, through ``fft2``, taken as its two 1D passes
+    over the lit rows, a few fields at a time, and |.|^2; the snapshot is the
+    first realization.
     """
     grid_in = config.speckle_grid()
     # refuse a too-wide or empty aperture before any field is drawn
@@ -430,31 +463,45 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     ref_index = (grid_out.index_of(0.0, 0), grid_out.index_of(0.0, 1))
     m = config.speckle_points
     per_batch = max(1, 4_194_304 // (m * m))
+    # fields per pass through the two FFTs: about 1 MB of complex buffer, which
+    # stays in cache (one field at 256^2)
+    chunk = max(1, 65_536 // (m * m))
     schedule = (config.speckle_n,)
-    bounds = batch_bounds(config.speckle_n, schedule, per_batch)
+    # the schedule's one mark is its end, so the first batch is the longest
+    power = np.empty((min(per_batch, config.speckle_n), m, m))
     out: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         inside = spec.aperture_indices
         weights = chirp[inside]
-        # sized by the first, longest batch; only the in-aperture columns are
-        # written, so the zeros outside them hold from one batch to the next
-        fields = np.zeros((bounds[0][1], m * m), dtype=np.complex128)
-        power = np.empty((bounds[0][1], m, m))
+        # fft2 is the FFT along the last axis, then along axis 1.  Along the
+        # last axis only the rows [r0, r1) the aperture lights are nonzero, so
+        # only they are transformed, into rows of a buffer whose other rows
+        # stay zero: the same transforms of the same numbers, bit for bit.
+        r0, r1 = inside[0] // m, inside[-1] // m + 1
+        lit = np.zeros((chunk, r1 - r0, m), dtype=np.complex128)
+        lit_pixels = lit.reshape(chunk, -1)
+        lit_inside = inside - r0 * m
+        rows = np.zeros((chunk, m, m), dtype=np.complex128)
         snapshot: RealPattern | None = None
 
         def intensities(block):
             nonlocal snapshot
             b = len(block)
             block *= weights
-            fields[:b, inside] = block
-            amps = np.fft.fft2(fields[:b].reshape(b, m, m))
-            # re*re + im*im, rounded as the plain expression, into one buffer
-            i2 = np.multiply(amps.real, amps.real, out=power[:b])
-            i2 += np.multiply(amps.imag, amps.imag, out=amps.imag)
+            for j in range(0, b, chunk):
+                c = min(chunk, b - j)
+                lit_pixels[:c, lit_inside] = block[j : j + c]
+                rows[:c, r0:r1] = np.fft.fft(lit[:c], axis=-1)
+                amps = np.fft.fft(rows[:c], axis=1)
+                # re*re + im*im, rounded as the plain expression, into power
+                np.multiply(amps.real, amps.real, out=power[j : j + c])
+                power[j : j + c] += np.multiply(amps.imag, amps.imag, out=amps.imag)
+            i2 = power[:b]
             if snapshot is None:  # before the fold pulls the next batch into power
                 snapshot = RealPattern(grid_out, i2[0].copy())
             return i2[:, ref_index[0], ref_index[1]], i2
 
+        bounds = batch_bounds(config.speckle_n, schedule, per_batch)
         batches = _live_batches(spec, config.seed, intensities, bounds, set(schedule),
                                 k * _STREAM_STRIDE)
         (_, acc), = fold_checkpoints(grid_out, batches, schedule)

@@ -178,15 +178,16 @@ def read_batches(path, detector_points: int,
     Each batch is read into one reused (rows, 1 + P) buffer, and i1 (B,) and
     i2 (B, P) are its two column views, the layout in which a live run folds
     its batches, so memory stays at one batch and nothing is copied.  The
-    views are overwritten by the next batch.  Records past the end of the
-    body raise ``RecordFormatError``.
+    views are overwritten by the next batch.  ``bounds`` is read one at a
+    time, and the buffer grows to the longest batch yet.  Records past the
+    end of the body raise ``RecordFormatError``.
     """
-    bounds = list(bounds)
     width = 1 + detector_points
-    rows = max((b - a for a, b in bounds), default=0)
-    block = np.empty((rows, width), dtype=np.float64)
+    block = np.empty((0, width), dtype=np.float64)
     with open(path, "rb", buffering=0) as fh:
         for a, b in bounds:
+            if len(block) < b - a:
+                block = np.empty((b - a, width), dtype=np.float64)
             fh.seek(HEADER_SIZE + a * width * 8)
             view = block[: b - a]
             got = fh.readinto(view)

@@ -105,6 +105,27 @@ def test_replay_reproduces_files_byte_identical(tmp_path):
         assert (again / name).read_bytes() == (live / name).read_bytes()
 
 
+def test_replay_builds_no_operator(tmp_path, monkeypatch):
+    # replay reads the reference and the records, never the arms' operators
+    cfg = write_config(tmp_path, "window = 8, 55\n")
+    live, again = tmp_path / "live", tmp_path / "again"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(live)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay built an operator")
+
+    monkeypatch.setattr(experiments, "fresnel_matrix", refuse)
+    monkeypatch.setattr(experiments, "chebyshev_factors", refuse)
+    assert main([
+        "replay", "--config", str(cfg), "--out-dir", str(again),
+        "--records", str(live / "records.gidat"),
+    ]) == 0
+    written = sorted(p.name for p in again.glob("*.csv"))
+    assert written == ["curve.csv", "pattern_N200.csv", "pattern_N500.csv"]
+    for name in written:
+        assert (again / name).read_bytes() == (live / name).read_bytes()
+
+
 @pytest.mark.parametrize("points", [3, 5])
 def test_replay_at_a_small_detector_is_byte_equal_to_the_live_run(tmp_path, points):
     # a strided and a contiguous GEMV round differently at a few pixels, so

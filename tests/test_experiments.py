@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_batch_intensities_match_columnwise_construction():
     # the stacked real and imaginary parts.
     cfg = small_config()
     pipe = GhostPipeline.from_config(cfg)
-    a, b = batch_bounds(500, cfg.schedule, cfg.batch)[1]
+    a, b = list(batch_bounds(500, cfg.schedule, cfg.batch))[1]
     assert (a, b) == (128, 200)
     index_base = 3 << 40
     inside = pipe.source_spec.aperture_indices
@@ -258,7 +259,7 @@ def test_mean_reference_intensity_is_flat_while_covariance_carries_fringes():
 def test_batch_bounds_partition_and_respect_marks(marks, batch):
     schedule = tuple(sorted(set(marks)))
     total = schedule[-1]
-    bounds = batch_bounds(total, schedule, batch)
+    bounds = list(batch_bounds(total, schedule, batch))
     assert bounds[0][0] == 0 and bounds[-1][1] == total
     for (a0, b0), (a1, _) in zip(bounds, bounds[1:]):
         assert b0 == a1 and b0 > a0
@@ -270,9 +271,16 @@ def test_batch_bounds_partition_and_respect_marks(marks, batch):
 def test_iter_checkpoints_is_lazy():
     cfg = small_config(schedule=(200, 100_000_000))
     pipe = GhostPipeline.from_config(cfg)
-    it = iter_checkpoints(pipe, cfg.schedule)
-    n, acc = next(it)
+    tracemalloc.start()
+    try:
+        it = iter_checkpoints(pipe, cfg.schedule)
+        n, acc = next(it)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert n == acc.count == 200
+    # the 781,250 batches of the budget are not cut before the first is drawn
+    assert peak < 5_000_000
     it.close()  # abandoning must not run the huge remainder
 
 
@@ -355,7 +363,7 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):
     # checkpoints that cut batches short: 0-128 | 128-200 | 200-256 | ... | 768-777
     cfg = small_config(schedule=(200, 500, 777), batch=128)
     pipe = GhostPipeline.from_config(cfg)
-    bounds = batch_bounds(777, cfg.schedule, cfg.batch)
+    bounds = list(batch_bounds(777, cfg.schedule, cfg.batch))
     header = record_header_for(cfg)
     with RecordWriter(tmp_path / "serial.gidat", header) as writer:
         def serial():
@@ -423,7 +431,7 @@ def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
 @pytest.mark.parametrize("block", [0, 1], ids=["pulled-by-the-fold", "drawn-ahead"])
 def test_a_failing_draw_on_the_worker_raises_from_run_converge(monkeypatch, block):
     cfg = small_config(schedule=(200, 500), batch=128)
-    a, b = batch_bounds(500, cfg.schedule, cfg.batch)[block]
+    a, b = list(batch_bounds(500, cfg.schedule, cfg.batch))[block]
     caller = threading.get_ident()
     failed_at = []
     worker_claimed = threading.Event()
@@ -464,6 +472,49 @@ def test_a_failure_on_the_worker_raises_from_run_converge(monkeypatch):
     with pytest.raises(RuntimeError, match="intensities failed"):
         run_converge(small_config(schedule=(200, 500), batch=128))
     assert failed_on and failed_on[0] != threading.get_ident()
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The thread of every ``chebyshev_factors`` call: one per operator build."""
+    builds = []
+    factors = experiments.chebyshev_factors
+
+    def counting(*args):
+        builds.append(threading.get_ident())
+        return factors(*args)
+
+    monkeypatch.setattr(experiments, "chebyshev_factors", counting)
+    return builds
+
+
+def test_operators_are_built_once_per_pipeline_on_the_worker(operator_builds):
+    cfg = small_config(schedule=(200, 500), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    assert operator_builds == []  # from_config builds none
+    run_converge(cfg, pipeline=pipe)
+    assert len(operator_builds) == 1 and operator_builds[0] != threading.get_ident()
+    pipe.covariance  # reads the operators the run built
+    assert len(operator_builds) == 1
+    operator_builds.clear()
+    run_kappa_sweep(small_config(phi_list=(0.4e-3, 0.8e-3), schedule=(200, 400), tau=1.0))
+    assert len(operator_builds) == 2
+
+
+def test_a_failing_operator_build_on_the_worker_raises_from_run_converge(monkeypatch):
+    caller = threading.get_ident()
+    failed_on = []
+
+    def failing(*args):
+        failed_on.append(threading.get_ident())
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(experiments, "chebyshev_factors", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="build failed"):
+        run_converge(small_config(schedule=(200, 500), batch=128))
+    assert len(failed_on) == 1 and failed_on[0] != caller
     assert threading.active_count() == before
 
 
@@ -626,7 +677,7 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch):
         write_records=False,
     )
     m, n = cfg.speckle_points, cfg.speckle_n
-    bounds = batch_bounds(n, (n,), 4_194_304 // (m * m))
+    bounds = list(batch_bounds(n, (n,), 4_194_304 // (m * m)))
     assert len(bounds) == 2 and bounds[-1][1] - bounds[-1][0] < bounds[0][1]
     grid_in = cfg.speckle_grid()
     grid_out = fft_output_grid(grid_in, cfg.d1, cfg.wavelength)
@@ -650,6 +701,7 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch):
         def spied(block):
             computed_on.append(threading.get_ident())
             return intensities(block)
+        run_bounds = list(run_bounds)
         bounds_seen.append(run_bounds)
         return live(spec, seed, spied, run_bounds, *args)
 
