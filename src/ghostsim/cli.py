@@ -39,11 +39,11 @@ from .experiments import (
     sampling_notes,
 )
 from .fields import STREAM_VERSION
-from .records import RecordWriter
+from .records import RecordWriter, open_new, remove_output
 
 
 def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open_new(path, newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -128,7 +128,7 @@ def write_manifest(path: Path, command: str, config: ExperimentConfig,
     if seeds is not None:
         del doc["config"]["seed"]
         doc["seeds"] = list(seeds)
-    with open(path, "w", newline="\n") as fh:
+    with open_new(path, newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -231,12 +231,20 @@ def _sampling_notes(command: str, config: ExperimentConfig) -> tuple[str, ...]:
 
 # Each command runs one config into one directory, its manifest recording
 # ``notes``, and returns its result and the files it wrote, manifest last.  It
-# makes the directory only once past its refusals, so a refused run leaves none.
+# opens the directory only once past its refusals, so a refused run leaves none.
+
+
+def _open_out_dir(out: Path) -> None:
+    """Make a command's output directory and remove an earlier run's manifest
+    from it, before the command's first write.  The manifest is written last,
+    so a directory without one holds a run that did not finish."""
+    out.mkdir(parents=True, exist_ok=True)
+    remove_output(out / "manifest.json")
 
 
 def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
     pipeline = GhostPipeline.from_config(config)
-    out.mkdir(parents=True, exist_ok=True)
+    _open_out_dir(out)
     outputs = [out / "records.gidat"] if config.write_records else []
     with (RecordWriter(outputs[0], record_header_for(config)) if outputs
           else nullcontext()) as writer:
@@ -246,13 +254,13 @@ def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
 
 def _cmd_replay(args, config: ExperimentConfig, out: Path, notes):
     result = replay_converge(config, args.records)
-    out.mkdir(parents=True, exist_ok=True)
+    _open_out_dir(out)
     return _emit_converge(args, config, out, notes, result, [])
 
 
 def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):
     points = run_kappa_sweep(config)
-    out.mkdir(parents=True, exist_ok=True)
+    _open_out_dir(out)
     write_kappa_csv(out / "kappa.csv", points)
     write_manifest(out / "manifest.json", args.command, config, [out / "kappa.csv"], notes)
     for p in points:
@@ -266,7 +274,7 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):
 
 def _cmd_speckle(args, config: ExperimentConfig, out: Path, notes):
     points = run_speckle(config)
-    out.mkdir(parents=True, exist_ok=True)
+    _open_out_dir(out)
     outputs = [out / "speckle.csv"]
     write_speckle_csv(out / "speckle.csv", points)
     for k, p in enumerate(points):
@@ -300,6 +308,7 @@ def _run_seeds(args, configs: list[ExperimentConfig], out: Path, notes) -> None:
     """One run per seed into ``seed<s>/``, then the medians and a manifest."""
     name, write_median = _MEDIANS[args.command]
     run, results, outputs = _COMMANDS[args.command], [], []
+    remove_output(out / "manifest.json")  # written again after the last seed
     for config in configs:
         print(f"seed {config.seed}:")
         result, written = run(args, config, out / f"seed{config.seed}", notes)

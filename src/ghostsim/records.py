@@ -32,10 +32,18 @@ block behind two such views, which the writer then writes as it is.
 Version 2 means the intensities come from source stream v2
 (``fields.STREAM_VERSION``); version 1 files hold stream-v1 intensities and
 are still read.
+
+Every output of the package, records and the command line's CSVs and
+manifests alike, is opened by ``open_new``: an earlier run's file at the path
+is unlinked and a new file created, never truncated in place.  A hard link to
+the old file keeps its bytes, and the file system need not write the old
+contents back before the new run's next file is created.  No output is
+fsynced.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import astuple, dataclass, replace
 from typing import Iterator
@@ -94,6 +102,30 @@ class RecordHeader:
         return replace(header, batch=None) if version == 1 else header
 
 
+def remove_output(path) -> str:
+    """Unlink the file ``path`` names, if there is one, and return its path.
+
+    A symlink is followed: the file it resolves to is removed and the link
+    stays, so a file created at the returned path is reached through it.
+    """
+    target = os.path.realpath(path)
+    try:
+        os.unlink(target)
+    except FileNotFoundError:
+        pass
+    return target
+
+
+def open_new(path, mode: str = "x", **kwargs):
+    """Open ``path`` for writing as a new file, never by truncating an old one.
+
+    Whatever the path names is removed by ``remove_output`` first, then the
+    file is created; ``mode`` is an exclusive-creation mode, ``"x"`` or
+    ``"xb"``, and ``kwargs`` go to ``open``.
+    """
+    return open(remove_output(path), mode, **kwargs)
+
+
 def record_rows(i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
     """The C-ordered (B, 1 + P) block of record rows whose column views are
     i1 (B,) and i2 (B, P), or None when they are not two such views.
@@ -115,13 +147,18 @@ def record_rows(i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
 
 
 class RecordWriter:
-    """Streams (i1, i2) batches to disk; the count is patched in on close."""
+    """Streams (i1, i2) batches to disk; the count is patched in on close.
+
+    The file is created new by ``open_new``: a file already at ``path`` is
+    replaced, not overwritten, unless the header cannot be packed, which
+    leaves it untouched.
+    """
 
     def __init__(self, path, header: RecordHeader):
-        blob = header.pack()  # a header that cannot be packed leaves no file
+        blob = header.pack()  # a header that cannot be packed leaves the path as it was
         self.header = header
         self._count = 0
-        self._file = open(path, "wb")
+        self._file = open_new(path, "xb")
         self._file.write(blob)
 
     def append(self, i1: np.ndarray, i2: np.ndarray) -> None:

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -246,6 +247,58 @@ def test_an_underflowing_reconstruction_exits_2_and_keeps_its_records(tmp_path, 
     records = out / "records.gidat"
     assert open_records(records).n_records == 200
     assert records.stat().st_size == HEADER_SIZE + 200 * 65 * 8
+
+
+def manifests_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("manifest.json"))
+
+
+@pytest.mark.parametrize("seeds, left", [("1", []), ("1,2", ["seed2/manifest.json"])],
+                         ids=["one-seed", "two-seeds"])
+def test_a_rerun_that_fails_partway_leaves_no_stale_manifest(tmp_path, seeds, left, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--seed", seeds,
+                 "--out-dir", str(out)]) == 0
+    assert manifests_under(out)
+    underflow = write_config(tmp_path, extra="sigma2 = 1e-200\n", name="underflow.cfg")
+    assert main(["converge", "--config", str(underflow), "--seed", seeds,
+                 "--out-dir", str(out)]) == 2
+    assert "error: the reconstruction at N=200" in capsys.readouterr().err
+    # the failed run replaced the first seed's records: no manifest is left to
+    # describe them, nor the seeds as a whole; a seed it never reached keeps its own
+    first = out / "seed1" if "," in seeds else out
+    assert open_records(first / "records.gidat").sigma2 == 1e-200
+    assert manifests_under(out) == left
+
+
+def test_a_rerun_replaces_its_files_and_leaves_hard_links_to_the_old_ones(tmp_path):
+    cfg = write_config(tmp_path)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["converge", "--config", str(cfg), "--seed", "1", "--out-dir", str(out)]) == 0
+    first = files_under(out)
+    for name in ("records.gidat", "curve.csv"):
+        os.link(out / name, tmp_path / f"kept-{name}")
+    assert main(["converge", "--config", str(cfg), "--seed", "2", "--out-dir", str(out)]) == 0
+    for name in ("records.gidat", "curve.csv"):
+        assert (tmp_path / f"kept-{name}").read_bytes() == first[name]
+    assert main(["converge", "--config", str(cfg), "--seed", "2", "--out-dir", str(fresh)]) == 0
+    assert files_under(out) == files_under(fresh)
+
+
+def test_a_rerun_writes_through_an_output_that_is_a_symlink(tmp_path):
+    cfg = write_config(tmp_path)
+    out, fresh, elsewhere = tmp_path / "out", tmp_path / "fresh", tmp_path / "elsewhere"
+    assert main(["converge", "--config", str(cfg), "--seed", "1", "--out-dir", str(out)]) == 0
+    elsewhere.mkdir()
+    for name in ("records.gidat", "curve.csv", "manifest.json"):
+        (out / name).rename(elsewhere / name)
+        (out / name).symlink_to(Path("..") / "elsewhere" / name)
+    assert main(["converge", "--config", str(cfg), "--seed", "2", "--out-dir", str(out)]) == 0
+    assert main(["converge", "--config", str(cfg), "--seed", "2", "--out-dir", str(fresh)]) == 0
+    for name in ("records.gidat", "curve.csv", "manifest.json"):
+        assert (out / name).is_symlink()
+        assert (elsewhere / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_a_batch_refused_partway_is_not_recorded(tmp_path, monkeypatch, capsys):
@@ -658,11 +711,17 @@ def test_a_refused_run_leaves_no_output_directory(tmp_path, refusal, argv, capsy
     "seed", ["9223372036854775808", "-9223372036854775809", "18446744073709551615"]
 )
 def test_a_seed_past_the_header_field_exits_2_and_leaves_no_records(tmp_path, seed, capsys):
-    out = tmp_path / "out"
-    assert main(["converge", "--config", str(write_config(tmp_path)), "--seed", seed,
-                 "--out-dir", str(out)]) == 2
-    assert "signed 64-bit" in capsys.readouterr().err
+    cfg = write_config(tmp_path)
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(rerun)]) == 0
+    before = files_under(rerun)
+    capsys.readouterr()
+    for where in (out, rerun):
+        assert main(["converge", "--config", str(cfg), "--seed", seed,
+                     "--out-dir", str(where)]) == 2
+        assert "signed 64-bit" in capsys.readouterr().err
     assert not (out / "records.gidat").exists()
+    assert files_under(rerun) == before  # the earlier run's records and manifest included
 
 
 def test_version_flag(capsys):

@@ -87,10 +87,15 @@ def test_writer_close_is_idempotent(tmp_path):
 
 
 def test_writer_refuses_an_unpackable_header_before_making_the_file(tmp_path):
-    path = tmp_path / "r.gidat"
-    with pytest.raises(struct.error):
-        RecordWriter(path, make_header(seed=1 << 63))  # past the signed 64-bit field
+    path, old = tmp_path / "r.gidat", tmp_path / "old.gidat"
+    with RecordWriter(old, make_header()) as w:
+        w.append(np.ones(3), np.ones((3, 8)))
+    before = old.read_bytes()
+    for where in (path, old):
+        with pytest.raises(struct.error):
+            RecordWriter(where, make_header(seed=1 << 63))  # past the signed 64-bit field
     assert not path.exists()
+    assert old.read_bytes() == before  # an earlier file is left as it was
 
 
 def test_writer_rejects_shape_mismatch(tmp_path):
