@@ -234,17 +234,25 @@ def _sampling_notes(command: str, config: ExperimentConfig) -> tuple[str, ...]:
 # opens the directory only once past its refusals, so a refused run leaves none.
 
 
-def _open_out_dir(out: Path) -> None:
+def _open_out_dir(out: Path, numbered=()) -> None:
     """Make a command's output directory and remove an earlier run's manifest
-    from it, before the command's first write.  The manifest is written last,
-    so a directory without one holds a run that did not finish."""
+    from it, before the command's first write, and every file that a glob of
+    ``numbered`` matches: the per-checkpoint or per-aperture outputs, which
+    the command writes anew, or not at all where its schedule or aperture
+    list is shorter, so its manifest lists every one left.  No glob matches
+    ``records.gidat``, which ``replay`` may be reading.  The manifest is
+    written last, so a directory without one holds a run that did not finish."""
     out.mkdir(parents=True, exist_ok=True)
-    remove_output(out / "manifest.json")
+    for path in [*(p for glob in numbered for p in out.glob(glob)), out / "manifest.json"]:
+        remove_output(path)
+
+
+_PATTERNS = ("pattern_N[0-9]*.csv",)
 
 
 def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
     pipeline = GhostPipeline.from_config(config)
-    _open_out_dir(out)
+    _open_out_dir(out, _PATTERNS)
     outputs = [out / "records.gidat"] if config.write_records else []
     with (RecordWriter(outputs[0], record_header_for(config)) if outputs
           else nullcontext()) as writer:
@@ -254,7 +262,7 @@ def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
 
 def _cmd_replay(args, config: ExperimentConfig, out: Path, notes):
     result = replay_converge(config, args.records)
-    _open_out_dir(out)
+    _open_out_dir(out, _PATTERNS)
     return _emit_converge(args, config, out, notes, result, [])
 
 
@@ -274,7 +282,7 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):
 
 def _cmd_speckle(args, config: ExperimentConfig, out: Path, notes):
     points = run_speckle(config)
-    _open_out_dir(out)
+    _open_out_dir(out, ("intensity_phi[0-9]*.csv", "coherence_phi[0-9]*.csv"))
     outputs = [out / "speckle.csv"]
     write_speckle_csv(out / "speckle.csv", points)
     for k, p in enumerate(points):

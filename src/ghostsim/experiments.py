@@ -23,13 +23,14 @@ order into one accumulator on the calling thread, records each batch it
 accepts, and hands the accumulator out at each scheduled N to be scored.
 Live runs, replay, threshold search and speckle differ only in where the
 batches come from.  Live runs and speckle share one producer,
-``_live_batches``, which overlaps two batches, and both threads draw every
-source block: one worker thread computes the intensities of batch k and then
-claims rows of block k + 1 from the tail of one deque, the calling thread
-from its head; the calling thread then folds, records and scores batch k.
-Every row comes from its own re-keyed stream, so which thread draws it,
-which varies from run to run, changes no number.  Nothing is drawn ahead
-past a checkpoint, and the numbers, and their order, do not change.
+``_live_batches``, which keeps three batches in flight, and both threads draw
+every source block: one worker thread computes the intensities of batch
+k + 1 and then claims rows of block k + 2 from the tail of one deque, while
+the calling thread folds, records and scores batch k and then claims rows of
+block k + 2 from its head.  Every row comes from its own re-keyed stream, so
+which thread draws it, which varies from run to run, changes no number.
+Nothing is computed or drawn ahead past a checkpoint, and the numbers, and
+their order, do not change.
 """
 
 from __future__ import annotations
@@ -257,17 +258,22 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
     Both threads draw every block, into one of two reused buffers, claiming
     its row offsets from one deque: the calling thread from the head, the one
     worker thread from the tail, so the split follows what each has time
-    for.  The worker computes the intensities of batch k and then claims rows
-    of block k + 1, while the calling thread claims them from the first on;
-    it then waits for the worker and hands batch k to the fold, which also
-    records it: this producer only produces.  After a batch that ends at a
-    mark nothing is drawn ahead: both threads draw the next block when the
-    fold pulls it, so a search that stops at a mark draws nothing it does not
-    fold.  Batch k + 1 is computed once the fold pulls it, so ``intensities``
-    may reuse its output buffers.  ``bounds`` is read one bound ahead.
+    for.  Once block k + 1 is drawn and batch k is back, the worker's job for
+    batch k + 1 is submitted, and batch k is handed to the fold, which also
+    records it: this producer only produces.  That job computes the
+    intensities of batch k + 1 and then claims rows of block k + 2, into
+    block k's buffer, while the calling thread folds, records and scores
+    batch k and then claims rows of block k + 2 from the first on.  After a
+    batch that ends at a mark nothing is submitted or drawn ahead: both
+    threads draw the next block when the fold pulls it, so a search that
+    stops at a mark draws nothing it does not fold.  Batch k + 1 is computed
+    while the fold holds batch k, so ``intensities`` must not hand out the
+    same output buffers for two batches in a row.  ``bounds`` is read at most
+    two bounds ahead.
     """
     width = spec.aperture_indices.size
     buffers = [np.empty((0, width), dtype=np.complex128)] * 2
+    bounds = iter(bounds)
 
     def block(k: int, a: int, b: int) -> np.ndarray:
         """The rows of block k, [a, b): buffer k % 2, enlarged if it is short."""
@@ -286,24 +292,42 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
         return batch
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        drawn = None  # block k, when it was drawn ahead
-        for k, ((a, b), after) in enumerate(itertools.pairwise(itertools.chain(bounds, [None]))):
-            if drawn is None:  # block k was not drawn ahead: both threads draw it now
-                drawn = block(k, a, b)
+
+        def launch(k: int, current: np.ndarray, b: int):
+            """Submit the job of batch k, whose block ``current`` ends at b.
+
+            Unless b is a mark, the job then claims rows of block k + 1 from
+            the tail; returned with it are block k + 1's bound, its rows and
+            the calling thread's claim, from the head, else None.
+            """
+            after = None if b in marks else next(bounds, None)
+            if after is None:
+                return worker.submit(compute, current, None), None
+            drawn = block(k + 1, *after)
+            rows = deque(range(len(drawn)))
+            return (worker.submit(compute, current, (after[0], drawn, rows.pop)),
+                    (after, drawn, rows.popleft))
+
+        job = ahead = None  # batch k's job, and block k + 1's draw, once submitted
+        for k in itertools.count():
+            if job is None:  # block k was not drawn ahead: both threads draw it now
+                bound = next(bounds, None)
+                if bound is None:
+                    return
+                a, b = bound
+                current = block(k, a, b)
                 rows = deque(range(b - a))
-                theirs = worker.submit(draw, a, drawn, rows.pop)
-                draw(a, drawn, rows.popleft)
+                theirs = worker.submit(draw, a, current, rows.pop)
+                draw(a, current, rows.popleft)
                 theirs.result()
-            current, drawn = drawn, None
-            if b not in marks and after is not None:
-                drawn = block(k + 1, *after)
-                rows = deque(range(len(drawn)))
-                pending = worker.submit(compute, current, (after[0], drawn, rows.pop))
-                draw(after[0], drawn, rows.popleft)
-            else:
-                pending = worker.submit(compute, current, None)
-            i1, i2 = pending.result()
-            del pending  # the Future holds the batch too
+                job, ahead = launch(k, current, b)
+            if ahead is not None:  # the calling thread's rows of block k + 1
+                (a, b), current, claim = ahead
+                draw(a, current, claim)
+            i1, i2 = job.result()
+            job = None  # the Future holds the batch too
+            if ahead is not None:  # block k + 1 is drawn: its job runs while batch k is folded
+                job, ahead = launch(k + 1, current, b)
             yield i1, i2
             del i1, i2
 
@@ -451,7 +475,10 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     are needed, so each field is the compact in-aperture block times its
     entries of ``fft_chirp``, through ``fft2``, taken as its two 1D passes
     over the lit rows, a few fields at a time, and |.|^2; the snapshot is the
-    first realization.
+    first realization.  The worker computes batch k + 1 while the fold reads
+    batch k, so the |.|^2 of two batches in a row go to two buffers, used in
+    turn: up to 32 MB each, the second touched only by an aperture's second
+    batch.
     """
     grid_in = config.speckle_grid()
     # refuse a too-wide or empty aperture before any field is drawn
@@ -467,8 +494,9 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     # stays in cache (one field at 256^2)
     chunk = max(1, 65_536 // (m * m))
     schedule = (config.speckle_n,)
-    # the schedule's one mark is its end, so the first batch is the longest
-    power = np.empty((min(per_batch, config.speckle_n), m, m))
+    # the schedule's one mark is its end, so the first batch is the longest;
+    # two batches alternate, as the fold holds one while the next is computed
+    power_buffers = [np.empty((min(per_batch, config.speckle_n), m, m)) for _ in range(2)]
     out: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         inside = spec.aperture_indices
@@ -483,10 +511,12 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         lit_inside = inside - r0 * m
         rows = np.zeros((chunk, m, m), dtype=np.complex128)
         snapshot: RealPattern | None = None
+        powers = itertools.cycle(power_buffers)
 
         def intensities(block):
             nonlocal snapshot
             b = len(block)
+            power = next(powers)
             block *= weights
             for j in range(0, b, chunk):
                 c = min(chunk, b - j)
@@ -497,7 +527,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
                 np.multiply(amps.real, amps.real, out=power[j : j + c])
                 power[j : j + c] += np.multiply(amps.imag, amps.imag, out=amps.imag)
             i2 = power[:b]
-            if snapshot is None:  # before the fold pulls the next batch into power
+            if snapshot is None:
                 snapshot = RealPattern(grid_out, i2[0].copy())
             return i2[:, ref_index[0], ref_index[1]], i2
 

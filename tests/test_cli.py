@@ -301,6 +301,37 @@ def test_a_rerun_writes_through_an_output_that_is_a_symlink(tmp_path):
         assert (elsewhere / name).read_bytes() == (fresh / name).read_bytes()
 
 
+SPECKLE = "speckle_points = 48\nspeckle_pitch = 40e-6\nspeckle_n = 200\n"
+
+
+@pytest.mark.parametrize("command, longer, shorter", [
+    ("converge", SMALL, SMALL.replace("schedule = 200, 500", "schedule = 200")),
+    ("speckle", SPECKLE + "speckle_phi_list = 5e-4, 2.5e-4\n",
+     SPECKLE + "speckle_phi_list = 5e-4\n"),
+], ids=["fewer-checkpoints", "fewer-apertures"])
+def test_a_shorter_rerun_leaves_no_output_of_the_longer_run(tmp_path, command, longer, shorter):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    (tmp_path / "longer.cfg").write_text(longer)
+    (tmp_path / "shorter.cfg").write_text(shorter)
+    for cfg, to in (("longer", out), ("shorter", out), ("shorter", fresh)):
+        assert main([command, "--config", str(tmp_path / f"{cfg}.cfg"), "--out-dir", str(to)]) == 0
+    assert files_under(out) == files_under(fresh)
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(files_under(out)) == sorted([*listed, "manifest.json"])
+
+
+def test_a_shorter_replay_into_the_records_directory_keeps_the_records(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    records = (out / "records.gidat").read_bytes()
+    assert main(["replay", "--config", str(cfg), "--schedule", "200",
+                 "--records", str(out / "records.gidat"), "--out-dir", str(out)]) == 0
+    assert (out / "records.gidat").read_bytes() == records
+    assert sorted(files_under(out)) == ["curve.csv", "manifest.json", "pattern_N200.csv",
+                                        "records.gidat"]
+
+
 def test_a_batch_refused_partway_is_not_recorded(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     want = tmp_path / "want"

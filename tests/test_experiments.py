@@ -411,6 +411,36 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):
         assert tail == list(range(b - 1, cut - 1, -1))
 
 
+def test_the_worker_computes_the_next_batch_while_the_fold_holds_one():
+    # marks at 200 and 500 cut 0-128 | 128-200 | 200-256 | 256-384 | 384-500 | 500-512 | 512-640
+    cfg = small_config(schedule=(200, 500, 640), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
+    called = [threading.Event() for _ in bounds]  # intensities called for batch k
+    calls = itertools.count()
+
+    def spied(block):
+        called[next(calls)].set()
+        return pipe.intensities(block)
+
+    before = threading.active_count()
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, spied, iter(bounds),
+                                        set(cfg.schedule), 0)
+    for k, (i1, i2) in enumerate(batches):
+        a, b = bounds[k]
+        assert len(i1) == len(i2) == b - a
+        if k + 1 == len(bounds):
+            continue
+        if b in cfg.schedule:
+            # past a mark nothing is computed, or drawn, before the fold pulls it
+            assert not called[k + 1].wait(timeout=0.2)
+        else:
+            # held here, batch k lets the worker start batch k + 1
+            assert called[k + 1].wait(timeout=10)
+    assert all(event.is_set() for event in called)
+    assert threading.active_count() == before
+
+
 def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
     caller = threading.get_ident()
     draw = experiments.draw_source_block
@@ -666,19 +696,21 @@ def test_speckle_survey_smoke():
     assert points[1].fwhm_axis1 > points[0].fwhm_axis1
 
 
-def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch):
-    # run_speckle's batch at 48 px is 4_194_304 // 48**2 = 1820 realizations,
-    # so 2000 cuts into 0-1820 | 1820-2000: a short last batch
+# run_speckle's batch at 48 px is 4_194_304 // 48**2 = 1820 realizations, so
+# 2000 cuts into 0-1820 | 1820-2000, a short last batch, and 4000 into three
+# batches, so that both of its alternating output buffers are used again
+@pytest.mark.parametrize("n, count", [(2000, 2), (4000, 3)], ids=["2-batches", "3-batches"])
+def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch, n, count):
     cfg = ExperimentConfig(
         speckle_points=48,
         speckle_pitch=40e-6,
         speckle_phi_list=(5e-4, 2.5e-4),
-        speckle_n=2000,
+        speckle_n=n,
         write_records=False,
     )
-    m, n = cfg.speckle_points, cfg.speckle_n
+    m = cfg.speckle_points
     bounds = list(batch_bounds(n, (n,), 4_194_304 // (m * m)))
-    assert len(bounds) == 2 and bounds[-1][1] - bounds[-1][0] < bounds[0][1]
+    assert len(bounds) == count and bounds[-1][1] - bounds[-1][0] < bounds[0][1]
     grid_in = cfg.speckle_grid()
     grid_out = fft_output_grid(grid_in, cfg.d1, cfg.wavelength)
     chirp = fft_chirp(grid_in, cfg.d1, cfg.wavelength).ravel()
