@@ -23,14 +23,13 @@ order into one accumulator on the calling thread, records each batch it
 accepts, and hands the accumulator out at each scheduled N to be scored.
 Live runs, replay, threshold search and speckle differ only in where the
 batches come from.  Live runs and speckle share one producer,
-``_live_batches``, which keeps three batches in flight, and both threads draw
-every source block: one worker thread computes the intensities of batch
-k + 1 and then claims rows of block k + 2 from the tail of one deque, while
-the calling thread folds, records and scores batch k and then claims rows of
-block k + 2 from its head.  Every row comes from its own re-keyed stream, so
-which thread draws it, which varies from run to run, changes no number.
-Nothing is computed or drawn ahead past a checkpoint, and the numbers, and
-their order, do not change.
+``_live_batches``, and both threads draw every source block.  One worker
+thread runs its jobs in the order they are queued: its rows of block k,
+claimed from the tail of one deque, batch k's intensities, its rows of
+block k + 1.  The calling thread claims rows of block k from the head and
+then folds, records and scores batch k - 1.  Every row comes from its own
+re-keyed stream, so which thread draws it, which varies from run to run,
+changes no number.  Nothing is computed or drawn ahead past a checkpoint.
 """
 
 from __future__ import annotations
@@ -258,78 +257,62 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
     Both threads draw every block, into one of two reused buffers, claiming
     its row offsets from one deque: the calling thread from the head, the one
     worker thread from the tail, so the split follows what each has time
-    for.  Once block k + 1 is drawn and batch k is back, the worker's job for
-    batch k + 1 is submitted, and batch k is handed to the fold, which also
-    records it: this producer only produces.  That job computes the
-    intensities of batch k + 1 and then claims rows of block k + 2, into
-    block k's buffer, while the calling thread folds, records and scores
-    batch k and then claims rows of block k + 2 from the first on.  After a
-    batch that ends at a mark nothing is submitted or drawn ahead: both
-    threads draw the next block when the fold pulls it, so a search that
-    stops at a mark draws nothing it does not fold.  Batch k + 1 is computed
-    while the fold holds batch k, so ``intensities`` must not hand out the
-    same output buffers for two batches in a row.  ``bounds`` is read at most
-    two bounds ahead.
+    for.  The worker runs its jobs in the order they are queued: its rows of
+    block k, batch k's intensities, then, unless block k ends at a mark, its
+    rows of block k + 1.  Meanwhile the calling thread draws its rows of
+    block k and hands batch k - 1 to the fold, which also records it.  It
+    takes batch k - 1 and the worker's rows of block k before it queues
+    batch k, so a failure on the worker raises before more is queued.  Past a
+    mark nothing is drawn ahead: a search that stops at a mark draws nothing
+    it does not fold.  Batch k + 1 is computed while the fold holds batch k,
+    so ``intensities`` must not hand out the same output buffers for two
+    batches in a row.  ``bounds`` is read at most two bounds ahead.
     """
     width = spec.aperture_indices.size
     buffers = [np.empty((0, width), dtype=np.complex128)] * 2
     bounds = iter(bounds)
 
-    def block(k: int, a: int, b: int) -> np.ndarray:
-        """The rows of block k, [a, b): buffer k % 2, enlarged if it is short."""
-        if len(buffers[k % 2]) < b - a:
-            buffers[k % 2] = np.empty((b - a, width), dtype=np.complex128)
-        return buffers[k % 2][: b - a]
-
-    def draw(first: int, out: np.ndarray, claim) -> None:
-        """Draw the rows of ``out``, from realization ``first`` on, that ``claim`` hands out."""
-        draw_source_block(spec, seed, index_base + first, len(out), out=out, claim=claim)
-
-    def compute(current: np.ndarray, ahead: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-        batch = intensities(current)
-        if ahead is not None:
-            draw(*ahead)
-        return batch
-
     with ThreadPoolExecutor(max_workers=1) as worker:
 
-        def launch(k: int, current: np.ndarray, b: int):
-            """Submit the job of batch k, whose block ``current`` ends at b.
+        def start(k: int):
+            """Read block k's bound and queue the worker's draw of its rows,
+            claimed from the tail, into buffer k % 2.  Returns the bound's end,
+            the block, that job and the calling thread's draw, claimed from the
+            head; None past the last bound."""
+            bound = next(bounds, None)
+            if bound is None:
+                return None
+            a, b = bound
+            if len(buffers[k % 2]) < b - a:
+                buffers[k % 2] = np.empty((b - a, width), dtype=np.complex128)
+            block = buffers[k % 2][: b - a]
+            rows = deque(range(b - a))
+            draw = functools.partial(draw_source_block, spec, seed, index_base + a, b - a,
+                                     out=block)
+            theirs = worker.submit(draw, claim=rows.pop)
+            return b, block, theirs, functools.partial(draw, claim=rows.popleft)
 
-            Unless b is a mark, the job then claims rows of block k + 1 from
-            the tail; returned with it are block k + 1's bound, its rows and
-            the calling thread's claim, from the head, else None.
-            """
-            after = None if b in marks else next(bounds, None)
-            if after is None:
-                return worker.submit(compute, current, None), None
-            drawn = block(k + 1, *after)
-            rows = deque(range(len(drawn)))
-            return (worker.submit(compute, current, (after[0], drawn, rows.pop)),
-                    (after, drawn, rows.popleft))
-
-        job = ahead = None  # batch k's job, and block k + 1's draw, once submitted
+        job = started = None  # batch k - 1 until the fold gets it; block k once started
         for k in itertools.count():
-            if job is None:  # block k was not drawn ahead: both threads draw it now
-                bound = next(bounds, None)
-                if bound is None:
+            if started is None:  # block k was not drawn ahead: batch k - 1 goes to the fold first
+                if job is not None:
+                    held, job = job.result(), None
+                    yield held
+                    del held
+                started = start(k)
+                if started is None:
                     return
-                a, b = bound
-                current = block(k, a, b)
-                rows = deque(range(b - a))
-                theirs = worker.submit(draw, a, current, rows.pop)
-                draw(a, current, rows.popleft)
-                theirs.result()
-                job, ahead = launch(k, current, b)
-            if ahead is not None:  # the calling thread's rows of block k + 1
-                (a, b), current, claim = ahead
-                draw(a, current, claim)
-            i1, i2 = job.result()
-            job = None  # the Future holds the batch too
-            if ahead is not None:  # block k + 1 is drawn: its job runs while batch k is folded
-                job, ahead = launch(k + 1, current, b)
-            yield i1, i2
-            del i1, i2
+            b, block, theirs, mine = started
+            mine()
+            # batch k - 1, then the worker's rows of block k: a failure on the
+            # worker raises here, before anything more is queued
+            held = None if job is None else job.result()
+            theirs.result()
+            job = worker.submit(intensities, block)  # drops batch k - 1's Future
+            started = None if b in marks else start(k + 1)
+            if held is not None:
+                yield held
+                del held
 
 
 def iter_checkpoints(

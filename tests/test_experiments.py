@@ -441,6 +441,46 @@ def test_the_worker_computes_the_next_batch_while_the_fold_holds_one():
     assert threading.active_count() == before
 
 
+def test_the_producer_reads_at_most_two_bounds_ahead():
+    cfg = small_config(schedule=(200, 500, 640), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
+    read = 0
+
+    def counted():
+        nonlocal read
+        for bound in bounds:
+            read += 1
+            yield bound
+
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities,
+                                        counted(), set(cfg.schedule), 0)
+    for j, _ in enumerate(batches):
+        if bounds[j][1] in cfg.schedule:
+            # past a mark the next bound is read only when the fold pulls it
+            assert read == j + 1
+        else:
+            assert read <= j + 3
+    assert read == len(bounds)
+
+
+@pytest.mark.parametrize("j", [0, 2, 3])  # batches that end short of a mark
+def test_abandoning_the_producer_mid_run_draws_at_most_two_blocks_ahead(drawn_rows, j):
+    cfg = small_config(schedule=(200, 500, 640), batch=128)
+    pipe = GhostPipeline.from_config(cfg)
+    bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
+    before = threading.active_count()
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities,
+                                        iter(bounds), set(cfg.schedule), 0)
+    for _ in range(j + 1):
+        next(batches)
+    batches.close()  # while the fold holds batch j
+    assert threading.active_count() == before
+    # each row once; the jobs already queued run to completion on shutdown, and no more
+    assert sorted(i for i, _ in drawn_rows) == list(range(len(drawn_rows)))
+    assert max(i for i, _ in drawn_rows) < bounds[j + 2][1]
+
+
 def test_a_failing_draw_ahead_raises_from_run_converge(monkeypatch):
     caller = threading.get_ident()
     draw = experiments.draw_source_block
