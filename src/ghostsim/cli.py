@@ -274,7 +274,8 @@ def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):
     for p in points:
         at = p.search.crossing
         status = f"N*={p.search.n_star}" if p.search.reached else "not reached"
-        print(f"phi={p.phi:.6g} m kappa={p.kappa:.4g}: {status} "
+        k = "n/a" if p.kappa is None else f"{p.kappa:.4g}"
+        print(f"phi={p.phi:.6g} m kappa={k}: {status} "
               f"(budget {p.search.n_budget}, eps={p.search.eps_final:.5f}, "
               f"eps_low={at.eps_low:.5f}, eps_high={at.eps_high:.5f})")
     return points, [out / "kappa.csv", out / "manifest.json"]

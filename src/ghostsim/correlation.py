@@ -133,8 +133,8 @@ def coherence_map(acc: CorrelationAccumulator) -> RealPattern:
     the reference pixel, equal to 1 where the pattern pixel coincides with it.
     """
     g = acc.finalize().samples
-    m1 = acc.mean1
-    m2 = acc.mean2
-    if m1 == 0.0 or np.any(m2 == 0.0):
-        raise ZeroDivisionError("coherence map undefined where mean intensity is zero")
-    return RealPattern(acc.grid, g / (m1 * m2))
+    # the product, not each mean: two tiny means multiply to an underflowed 0
+    means = acc.mean1 * acc.mean2
+    if np.any(means == 0.0):
+        raise ZeroDivisionError("the mean intensities multiply to zero")
+    return RealPattern(acc.grid, g / means)

@@ -38,7 +38,6 @@ import dataclasses
 import functools
 import itertools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -268,6 +267,9 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
     so ``intensities`` must not hand out the same output buffers for two
     batches in a row.  ``bounds`` is read at most two bounds ahead.
     """
+    # imported here, not with the module: replay never draws
+    from concurrent.futures import ThreadPoolExecutor
+
     width = spec.aperture_indices.size
     buffers = [np.empty((0, width), dtype=np.complex128)] * 2
     bounds = iter(bounds)
@@ -381,7 +383,7 @@ class KappaPoint:
     """Threshold search outcome for one aperture diameter."""
 
     phi: float
-    kappa: float
+    kappa: float | None  # None for a mask file: kappa is the two-slit width over l_c
     search: ThresholdSearch
 
 
@@ -402,7 +404,10 @@ def run_threshold(config: ExperimentConfig, *, index_base: int = 0,
 
 
 def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
-    """Minimal-N search per aperture in phi_list; independent streams per entry."""
+    """Minimal-N search per aperture in phi_list; independent streams per entry.
+
+    Each point's kappa is the slit width over the coherence length, and None
+    with a mask file, whose openings ``slit_width`` does not describe."""
     if config.phi_list is None or len(config.phi_list) < 2:
         raise ConfigError("sweep requires phi_list with at least two apertures")
     # every pipeline is built, so a bad aperture or reference is refused, before any search
@@ -410,9 +415,11 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     out: list[KappaPoint] = []
     for i, pipe in enumerate(pipes):
         cfg = pipe.config
-        l_c = coherence_length(cfg.wavelength, cfg.d1, cfg.phi)
+        k = None
+        if cfg.mask_file is None:
+            k = kappa(cfg.slit_width, coherence_length(cfg.wavelength, cfg.d1, cfg.phi))
         search = run_threshold(cfg, index_base=i * _STREAM_STRIDE, pipeline=pipe)
-        out.append(KappaPoint(phi=cfg.phi, kappa=kappa(cfg.slit_width, l_c), search=search))
+        out.append(KappaPoint(phi=cfg.phi, kappa=k, search=search))
     return out
 
 
@@ -518,11 +525,13 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         batches = _live_batches(spec, config.seed, intensities, bounds, set(schedule),
                                 k * _STREAM_STRIDE)
         (_, acc), = fold_checkpoints(grid_out, batches, schedule)
-        cmap = coherence_map(acc)
         half = 64
         try:
+            cmap = coherence_map(acc)
             fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
             fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
+        except ZeroDivisionError as exc:  # the means underflowed
+            raise DegeneratePatternError(f"phi={phi:.6g} m: coherence map: {exc}") from None
         except NoPeakError as exc:
             raise NoPeakError(f"phi={phi:.6g} m: coherence map: {exc}") from None
         out.append(

@@ -6,6 +6,10 @@ exactly a Rayleigh amplitude (mean square 2*sigma2) times a uniform phase.
 Pixels are statistically independent, so the field is delta-correlated
 across the source plane.  Pixels outside the aperture are zero and are not
 drawn at all.
+
+``numpy.random`` is imported by the functions that draw, at their first
+call, not with this module, so ``replay``, which draws nothing, never
+loads it.
 """
 
 from __future__ import annotations
@@ -13,12 +17,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import GeometryError, GridMismatchError
 from .grids import Grid
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,6 +88,8 @@ class RngStream:
             raise ValueError("realization_index must be >= 0")
 
     def generator(self) -> Generator:
+        from numpy.random import Generator, Philox
+
         key = np.array(
             [self.seed & _MASK64, self.realization_index & _MASK64], dtype=np.uint64
         )
@@ -151,6 +160,8 @@ def draw_source_block(spec: SourceSpec, seed: int, first_index: int,
     fill disjoint rows of one block at the same time, and row j is the same
     whichever thread fills it.  Without it every row is drawn, in order.
     """
+    from numpy.random import Generator, Philox
+
     if first_index < 0:
         raise ValueError("first_index must be >= 0")
     shape = (count, spec.aperture_indices.size)

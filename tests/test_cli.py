@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from ghostsim.config import load_config
 from ghostsim.records import HEADER_SIZE, RecordWriter, open_records
 
 STUDIES = Path(__file__).resolve().parent.parent / "studies"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL = """
 source_points = 128
@@ -249,6 +252,20 @@ def test_an_underflowing_reconstruction_exits_2_and_keeps_its_records(tmp_path, 
     assert records.stat().st_size == HEADER_SIZE + 200 * 65 * 8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma2", ["1e-200", "5e-324"], ids=["underflow", "zero"])
+def test_an_underflowing_coherence_map_exits_2_and_leaves_no_output(tmp_path, sigma2, capsys):
+    # the two means ~ sigma2 multiply to 0, or at 5e-324 are 0 themselves
+    cfg = tmp_path / "speckle.cfg"
+    cfg.write_text(SPECKLE + f"speckle_phi_list = 5e-4\nsigma2 = {sigma2}\n")
+    out = tmp_path / "out"
+    assert main(["speckle", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: phi=0.0005 m: coherence map: the mean intensities multiply to zero\n"
+    )
+    assert not out.exists()
+
+
 def manifests_under(root):
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("manifest.json"))
 
@@ -422,6 +439,29 @@ def test_sweep_kappa_unreachable_tau_leaves_n_star_empty(tmp_path):
     _, rows = read_csv(out / "kappa.csv")
     for row in rows:
         assert row[2] == "" and row[3] == "false"
+
+
+def test_a_mask_sweep_leaves_kappa_empty(tmp_path, capsys):
+    # two openings of the 141-pixel object grid, which slit_width does not describe
+    (tmp_path / "mask.txt").write_text("0\n" * 60 + "1\n" * 8 + "0\n" * 6 + "1\n" * 4
+                                       + "0\n" * 63)
+    files = {}
+    for width in ("105e-6", "50e-6"):
+        cfg = write_config(tmp_path, name=f"mask{width}.cfg", extra=(
+            f"mask_file = {tmp_path / 'mask.txt'}\nslit_width = {width}\n"
+            "phi_list = 4e-4, 8e-4\n"))
+        out = tmp_path / width
+        assert main(["sweep-kappa", "--config", str(cfg), "--out-dir", str(out),
+                     "--tau", "1.0", "--seed", "0,1"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if "kappa=" in line]
+        assert len(printed) == 4 and all(" kappa=n/a: N*=200 " in line for line in printed)
+        _, rows = read_csv(out / "seed0" / "kappa.csv")
+        assert [row[1:3] for row in rows] == [["", "200"], ["", "200"]]
+        _, rows = read_csv(out / "kappa_median.csv")
+        assert [row[1:] for row in rows] == [["", "200.0", "2/2"], ["", "200.0", "2/2"]]
+        files[width] = [(out / name).read_bytes()
+                        for name in ("seed0/kappa.csv", "seed1/kappa.csv", "kappa_median.csv")]
+    assert files["105e-6"] == files["50e-6"]  # slit_width changes nothing
 
 
 def test_bands_rows_bracket_the_global_error(tmp_path):
@@ -760,6 +800,53 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert f"ghostsim {__version__}" in capsys.readouterr().out
+
+
+# Runs the CLI commands in argv[1], a JSON list of argument lists, in a fresh
+# interpreter, and prints which of the modules that only a draw needs were
+# loaded after ``import numpy`` and after the commands.
+_LOADED_BY = """
+import json
+import sys
+
+import numpy  # noqa: F401  (numpy 1.x loads numpy.random here itself)
+
+LAZY = ("numpy.random", "concurrent.futures")
+after_numpy = [m for m in LAZY if m in sys.modules]
+from ghostsim.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --version
+        status = exc.code
+    assert status == 0, (argv, status)
+print(json.dumps([after_numpy, [m for m in LAZY if m in sys.modules]]))
+"""
+
+
+def loaded_by(tmp_path, *commands):
+    """(after import numpy, after the commands), each a list of module names."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_replay_loads_neither_the_rng_nor_the_thread_pool(tmp_path):
+    cfg = write_config(tmp_path)
+    live = tmp_path / "live"
+    # a run that draws loads both, so the check below is not vacuous
+    _, after = loaded_by(tmp_path, ["converge", "--config", str(cfg), "--out-dir", str(live)])
+    assert after == ["numpy.random", "concurrent.futures"]
+    after_numpy, after = loaded_by(
+        tmp_path, ["--version"],
+        ["replay", "--config", str(cfg), "--records", str(live / "records.gidat"),
+         "--out-dir", str(tmp_path / "again")],
+    )
+    assert after == after_numpy  # numpy 1.x: ["numpy.random"]; numpy 2.x: []
+    assert (tmp_path / "again" / "curve.csv").read_bytes() == (live / "curve.csv").read_bytes()
 
 
 def test_default_out_dir_is_named_after_command(tmp_path, monkeypatch):
