@@ -262,6 +262,8 @@ def _cmd_converge(args, config: ExperimentConfig, out: Path, notes):
 
 def _cmd_replay(args, config: ExperimentConfig, out: Path, notes):
     result = replay_converge(config, args.records)
+    for note in result.notes:
+        print(f"warning: {note}", file=sys.stderr)
     _open_out_dir(out, _PATTERNS)
     return _emit_converge(args, config, out, notes, result, [])
 

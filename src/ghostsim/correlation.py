@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BatchRangeError, GridMismatchError, InsufficientSamplesError
+from .errors import (BatchRangeError, DegeneratePatternError, GridMismatchError,
+                     InsufficientSamplesError)
 from .fields import RealPattern
 from .grids import Grid
 from .records import record_rows
@@ -126,15 +127,33 @@ class CorrelationAccumulator:
         return RealPattern(self.grid, g)
 
 
+def check_normal_means(means: np.ndarray) -> None:
+    """Refuse mean-intensity products below float64's normal range.
+
+    The cross products i1 * i2 that G sums are about as large as
+    mean1 * mean2; below ``np.finfo(float).tiny`` they are subnormal and
+    carry fewer significant bits, so the estimate loses precision silently.
+    Raises ``DegeneratePatternError``.
+    """
+    low = float(np.min(means))
+    if low < np.finfo(np.float64).tiny:
+        raise DegeneratePatternError(
+            f"the mean intensities multiply to {low:.3g}, below float64's normal range"
+        )
+
+
 def coherence_map(acc: CorrelationAccumulator) -> RealPattern:
     """Covariance normalized by the product of means: cov / (mean1 * mean2).
 
     For chaotic light this estimates the squared degree of coherence against
     the reference pixel, equal to 1 where the pattern pixel coincides with it.
+    Means that multiply to zero raise ``ZeroDivisionError``, and to a
+    subnormal number ``DegeneratePatternError`` (``check_normal_means``).
     """
     g = acc.finalize().samples
     # the product, not each mean: two tiny means multiply to an underflowed 0
     means = acc.mean1 * acc.mean2
     if np.any(means == 0.0):
         raise ZeroDivisionError("the mean intensities multiply to zero")
+    check_normal_means(means)
     return RealPattern(acc.grid, g / means)

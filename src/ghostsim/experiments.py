@@ -55,7 +55,7 @@ from .analysis import (
 )
 from .analysis import pattern_errors  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .config import ExperimentConfig
-from .correlation import CorrelationAccumulator, coherence_map
+from .correlation import CorrelationAccumulator, check_normal_means, coherence_map
 from .errors import ConfigError, DegeneratePatternError, NoPeakError, RecordFormatError
 from .fields import STREAM_VERSION, RealPattern, SourceSpec, draw_source_block
 from .fields import draw_source_samples  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -63,6 +63,7 @@ from .grids import Grid
 from .objects import (TransmissionMask, double_slit, load_mask, reference_double_slit,
                       reference_from_mask)
 from .propagation import (
+    SETUP_BLOCK,
     chebyshev_factors,
     fft_chirp,
     fft_output_grid,
@@ -71,7 +72,7 @@ from .propagation import (
     validate_sampling,
 )
 from .propagation import fresnel_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .records import RecordHeader, RecordWriter, open_records, read_batches
+from .records import RecordHeader, RecordWriter, UnfinishedHeader, open_records, read_batches
 
 _STREAM_STRIDE = 1 << 40  # realization-index block reserved per sweep entry
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -125,7 +126,13 @@ class GhostPipeline:
         # only the object pixels the point detector sees through the mask
         seen = point_weights(obj, 0.0, config.d2, lam) * self.mask.samples
         rows = np.flatnonzero(seen)
-        v = seen[rows] @ fresnel_matrix(x, obj.coords(0)[rows], config.d1, lam, source.pitch[0])
+        weights, y = seen[rows], obj.coords(0)[rows]
+        # a block of source pixels at a time, each summed over every seen row:
+        # the (rows, n_in) propagator is never held whole
+        v = np.concatenate([
+            weights @ fresnel_matrix(x[a : a + SETUP_BLOCK], y, config.d1, lam, source.pitch[0])
+            for a in range(0, x.size, SETUP_BLOCK)
+        ])
         to_nodes, interp = chebyshev_factors(x, self.detector_grid.coords(0), config.d, lam,
                                              source.pitch[0])
         return v, to_nodes.T, interp.T
@@ -340,21 +347,27 @@ class ConvergenceResult:
     snapshots: tuple[tuple[int, RealPattern], ...]
     reference: RealPattern  # normalized over the comparison window
     stream: int = STREAM_VERSION  # source stream of the folded intensities
+    notes: tuple[str, ...] = ()  # warnings about the inputs, for the caller to show
 
 
 def _score(pipeline: GhostPipeline, n: int, acc: CorrelationAccumulator):
     """The reconstruction at a checkpoint, normalized over the comparison window
-    once, and its errors against the pipeline's reference, normalized alike."""
+    once, and its errors against the pipeline's reference, normalized alike.
+    A reconstruction whose products i1 * i2 were subnormal is refused."""
     try:  # from_config refuses a flat reference, so a flat g means G underflowed
         g = normalize_unit(acc.finalize(), pipeline.config.window)
     except DegeneratePatternError:
         raise DegeneratePatternError(f"the reconstruction at N={n} is constant over the "
                                      "comparison window") from None
+    try:
+        check_normal_means(acc.mean1 * acc.mean2)
+    except DegeneratePatternError as exc:
+        raise DegeneratePatternError(f"the reconstruction at N={n}: {exc}") from None
     return g, CurvePoint(n, *banded_errors(g.samples, pipeline.reference.samples))
 
 
-def _convergence_result(pipeline: GhostPipeline, checkpoints,
-                        stream: int = STREAM_VERSION) -> ConvergenceResult:
+def _convergence_result(pipeline: GhostPipeline, checkpoints, stream: int = STREAM_VERSION,
+                        notes: tuple[str, ...] = ()) -> ConvergenceResult:
     curve: list[CurvePoint] = []
     snaps: list[tuple[int, RealPattern]] = []
     for n, acc in checkpoints:
@@ -366,6 +379,7 @@ def _convergence_result(pipeline: GhostPipeline, checkpoints,
         snapshots=tuple(snaps),
         reference=pipeline.reference,
         stream=stream,
+        notes=notes,
     )
 
 
@@ -530,7 +544,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
             cmap = coherence_map(acc)
             fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
             fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
-        except ZeroDivisionError as exc:  # the means underflowed
+        except (ZeroDivisionError, DegeneratePatternError) as exc:  # the means underflowed
             raise DegeneratePatternError(f"phi={phi:.6g} m: coherence map: {exc}") from None
         except NoPeakError as exc:
             raise NoPeakError(f"phi={phi:.6g} m: coherence map: {exc}") from None
@@ -572,7 +586,9 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
     folded with the same batch boundaries the live run used, so every
     accumulator state, pattern and error matches the live run to the last
     bit.  Version 1 files did not store the batch, so their batch is not
-    checked: they replay bitwise only under the live run's batch.
+    checked: they replay bitwise only under the live run's batch.  A file
+    left by a run that never closed its writer (``UnfinishedHeader``) replays
+    its whole rows, with a note naming their count.
     """
     header = open_records(records_path)
     expect = record_header_for(config)
@@ -586,14 +602,18 @@ def replay_converge(config: ExperimentConfig, records_path) -> ConvergenceResult
             f"records were made with a different configuration: {mismatched}"
         )
     total = config.schedule[-1]
+    held = f"{header.n_records} records"
+    notes = ()
+    if isinstance(header, UnfinishedHeader):
+        held = f"{header.n_records} whole records of an unfinished run"
+        notes = (f"{records_path} is unfinished (its header counts 0 records): "
+                 f"replaying its {header.n_records} whole records",)
     if header.n_records < total:
-        raise RecordFormatError(
-            f"schedule needs {total} records, file holds {header.n_records}"
-        )
+        raise RecordFormatError(f"schedule needs {total} records, file holds {held}")
     pipe = GhostPipeline.from_config(config)
     bounds = batch_bounds(total, config.schedule, config.batch)
     batches = read_batches(records_path, header.detector_points, bounds)
     return _convergence_result(
         pipe, fold_checkpoints(pipe.detector_grid, batches, config.schedule),
-        stream=header.version,
+        stream=header.version, notes=notes,
     )

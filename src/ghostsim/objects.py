@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError, GridMismatchError
 from .fields import ComplexField, RealPattern
 from .grids import Grid
+from .propagation import SETUP_BLOCK
 
 
 @dataclass(eq=False)
@@ -98,8 +99,13 @@ def reference_from_mask(
     x = mask.grid.coords(0)
     rho = grid_out.coords(0)
     xi = rho / (wavelength * d2)
-    phases = np.exp(-2j * np.pi * xi[:, None] * x[None, :])
-    t_hat = phases @ (mask.samples * mask.grid.pitch[0])
+    samples = mask.samples * mask.grid.pitch[0]
+    # a block of detector pixels at a time, each summed over every object
+    # pixel: the (detector, object) phase matrix is never held whole
+    t_hat = np.concatenate([
+        np.exp(-2j * np.pi * xi[a : a + SETUP_BLOCK, None] * x[None, :]) @ samples
+        for a in range(0, xi.size, SETUP_BLOCK)
+    ])
     y = np.abs(t_hat) ** 2
     lo, hi = y.min(), y.max()
     if hi == lo:

@@ -6,7 +6,7 @@ Layout (little endian):
         magic   6s   b"GIDAT1"
         version B    2 (1 for files written before the batch was stored)
         pad     B    0
-        n       Q    record count (patched on close)
+        n       Q    record count (patched on close; 0 until then)
         points  I    detector pixel count P
         batch   I    realizations per batch of the run (0 in version 1)
         pitch   d    detector pitch [m]
@@ -22,9 +22,10 @@ Layout (little endian):
 Round-trips are bitwise: the body is raw IEEE-754, so replaying a file feeds
 the accumulator the exact numbers the live run produced.  ``open_records``
 validates a file (magic, version, and a size of exactly the header plus its
-records) and returns the header; ``read_batches`` is the one reader of the
-body, streaming it through one reused batch buffer, so replay's memory is one
-batch whatever the record count.  A block of records is also the one layout
+records) and returns the header, or recovers the whole rows of a file whose
+run was killed before it patched in the count; ``read_batches`` is the one
+reader of the body, streaming it through one reused batch buffer, so
+replay's memory is one batch whatever the record count.  A block of records is also the one layout
 of a batch in memory: live runs compute their intensities into a (B, 1 + P)
 block, replay reads the file into one, and both fold the block's two column
 views, so the same bits meet the same arithmetic; ``record_rows`` finds the
@@ -189,16 +190,30 @@ class RecordWriter:
         self.close()
 
 
+@dataclass(frozen=True)
+class UnfinishedHeader(RecordHeader):
+    """The header of a file whose run never closed its writer (it was killed,
+    say): ``n_records`` counts the whole rows of the body, where the file's
+    own header says 0."""
+
+
 def open_records(path) -> RecordHeader:
     """The header of a record file, once its size is checked against it.
 
-    A file that is not exactly the header plus ``n_records`` rows (truncated,
-    or with stray bytes) is rejected; the body is read by ``read_batches``.
+    A closed file that is not exactly the header plus ``n_records`` rows
+    (truncated, or with stray bytes) is rejected.  The writer patches the
+    count in on close, so a header that counts 0 records over a non-empty
+    body was left by a run that never closed: it is returned as an
+    ``UnfinishedHeader`` counting the body's whole rows, and a trailing
+    partial row is dropped.  The body is read by ``read_batches``.
     """
     with open(path, "rb") as fh:
         header = RecordHeader.unpack(fh.read(HEADER_SIZE))
         size = fh.seek(0, 2)  # the offset of the end: the file's size
     row = 1 + header.detector_points
+    if header.n_records == 0 and size > HEADER_SIZE:
+        whole = (size - HEADER_SIZE) // (row * 8)
+        return UnfinishedHeader(*astuple(replace(header, n_records=whole)))
     expected = HEADER_SIZE + header.n_records * row * 8
     if size != expected:
         raise RecordFormatError(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -264,6 +265,68 @@ def test_an_underflowing_coherence_map_exits_2_and_leaves_no_output(tmp_path, si
         "error: phi=0.0005 m: coherence map: the mean intensities multiply to zero\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma2, code", [("1e-150", 0), ("1e-154", 2), ("1e-158", 2)])
+def test_a_converge_with_subnormal_intensity_products_exits_2(tmp_path, sigma2, code, capsys):
+    # at the defaults mean1 * mean2 is about 6.6e-3 * sigma2^2: subnormal below 1e-154
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"sigma2 = {sigma2}\nschedule = 200, 400\nwrite_records = false\n")
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: the reconstruction at N=200: the mean intensities "
+                              "multiply to ")
+        assert err.endswith(", below float64's normal range\n") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_speckle_with_subnormal_intensity_products_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "speckle.cfg"
+    cfg.write_text(SPECKLE + "speckle_phi_list = 5e-4\nsigma2 = 1e-158\n")
+    out = tmp_path / "out"
+    assert main(["speckle", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi=0.0005 m: coherence map: the mean intensities multiply to ")
+    assert err.endswith(", below float64's normal range\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_replay_recovers_the_whole_rows_of_an_unfinished_file(tmp_path, capsys):
+    # a run killed before it patched in its count: the header says 0, and
+    # the body ends in half a row; batches start at 0, 128, 200, 256 and 384
+    # in both schedules, so rows up to 400 are those of a run of 200, 400
+    cfg = write_config(tmp_path)
+    long, fresh = tmp_path / "long", tmp_path / "fresh"
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(long)]) == 0
+    assert main(["converge", "--config", str(cfg), "--schedule", "200,400",
+                 "--out-dir", str(fresh)]) == 0
+    header = open_records(long / "records.gidat")
+    row = (1 + header.detector_points) * 8
+    body = (long / "records.gidat").read_bytes()[HEADER_SIZE:]
+    killed = tmp_path / "killed.gidat"
+    killed.write_bytes(dataclasses.replace(header, n_records=0).pack()
+                       + body[: 450 * row + row // 2])
+    capsys.readouterr()
+    replayed = tmp_path / "replayed"
+    assert main(["replay", "--config", str(cfg), "--schedule", "200,400",
+                 "--records", str(killed), "--out-dir", str(replayed)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {killed} is unfinished (its header counts 0 records): "
+        "replaying its 450 whole records\n"
+    )
+    for name in ("curve.csv", "pattern_N200.csv", "pattern_N400.csv"):
+        assert (replayed / name).read_bytes() == (fresh / name).read_bytes()
+    # a schedule past the whole rows is refused, naming their count
+    assert main(["replay", "--config", str(cfg), "--records", str(killed),
+                 "--out-dir", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err == (
+        "error: schedule needs 500 records, file holds 450 whole records of an unfinished run\n"
+    )
+    assert not (tmp_path / "refused").exists()
 
 
 def manifests_under(root):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostsim.analysis import normalize_unit, pattern_errors
+from ghostsim.analysis import half_width, normalize_unit, pattern_errors
 from ghostsim.config import ExperimentConfig
 from ghostsim.correlation import coherence_map
 from ghostsim import analysis, experiments
@@ -25,6 +25,7 @@ from ghostsim.experiments import (
     sampling_notes,
 )
 from ghostsim.fields import (
+    RealPattern,
     RngStream,
     SourceSpec,
     draw_source_block,
@@ -152,6 +153,50 @@ def test_reference_factors_match_the_dense_kernel(cfg):
     want = gamma.real**2 + gamma.imag**2
     got = pipe.asymptotic_pattern().samples
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+
+
+@pytest.mark.parametrize(
+    "overrides, n_in",
+    [
+        ({}, 430),
+        ({"source_pitch": 10e-6, "phi": 4 * KAPPA_UNIT}, 122),
+        ({"source_points": 2048, "source_pitch": 1e-6}, 1720),
+        ({"source_pitch": 10e-6, "phi": 1.5 * KAPPA_UNIT}, 46),  # one block, cut short
+    ],
+    ids=["default", "kappa4", "pitch1um", "below-block"],
+)
+def test_blocked_test_weights_equal_the_dense_product_bitwise(at_one_blas_thread, overrides,
+                                                              n_in):
+    out = at_one_blas_thread(f"""
+import numpy as np
+from ghostsim.config import ExperimentConfig
+from ghostsim.experiments import GhostPipeline
+from ghostsim.propagation import fresnel_matrix, point_weights
+cfg = ExperimentConfig(**{overrides!r})
+pipe = GhostPipeline.from_config(cfg)
+x = cfg.source_grid().coords(0)[pipe.source_spec.aperture_indices]
+obj = cfg.object_grid()
+seen = point_weights(obj, 0.0, cfg.d2, cfg.wavelength) * pipe.mask.samples
+rows = np.flatnonzero(seen)
+dense = seen[rows] @ fresnel_matrix(x, obj.coords(0)[rows], cfg.d1, cfg.wavelength,
+                                    cfg.source_pitch)
+print(x.size, pipe.test_weights.tobytes() == dense.tobytes())
+""")
+    assert out == f"{n_in} True"
+
+
+def test_the_operator_build_at_a_fine_source_pitch_peaks_under_4_mb():
+    # 1720 in-aperture pixels against 282 seen object rows: the dense
+    # (rows, n_in) propagator alone would be 7.8 MB
+    pipe = GhostPipeline.from_config(ExperimentConfig(source_points=2048, source_pitch=1e-6))
+    tracemalloc.start()
+    try:
+        pipe.test_weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pipe.test_weights.size == 1720
+    assert peak < 4e6
 
 
 def test_sampled_amplitude_covariance_matches_the_pipeline_covariance():
@@ -792,6 +837,48 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch, n, co
         want = coherence_map(acc)
         assert p.coherence.samples.tobytes() == want.samples.tobytes()
         assert p.snapshot.samples.tobytes() == batches[0][1][0].tobytes()
+
+
+def _half_max_slopes(cut):
+    """|slope| per pixel of the segment that holds each half-maximum crossing
+    ``half_width`` finds, right side then left."""
+    v = cut.samples
+    i = int(np.argmax(v))
+    right = i + int(np.argmax(v[i:] <= v[i] / 2.0))
+    left = i - int(np.argmax(v[i::-1] <= v[i] / 2.0))
+    return v[right - 1] - v[right], v[left + 1] - v[left]
+
+
+def test_speckle_coherence_maps_converge_to_the_van_cittert_zernike_limit():
+    # The chirp has constant modulus, so on the grid the covariance of the
+    # field at two output pixels is the DFT of the aperture indicator at
+    # their offset, and the map's exact limit is |fft2(indicator)|^2 / n_in^2,
+    # rolled to the reference pixel: the sampled jinc^2.
+    n = 4000
+    cfg = ExperimentConfig(speckle_points=48, speckle_pitch=40e-6,
+                           speckle_phi_list=(5e-4, 2.5e-4), speckle_n=n, write_records=False)
+    m = cfg.speckle_points
+    # The estimator's spread is about 2/sqrt(N) at the peak (var(I)/mean(I)^2
+    # of exponential speckle) and 1/sqrt(N) away from it: c = 10 is 5 of the
+    # peak's standard deviations, a margin for the maximum over 2 * 48^2 pixels.
+    c = 10.0
+    for p in run_speckle(cfg):
+        spec = SourceSpec(cfg.speckle_grid(), p.phi, cfg.sigma2)
+        indicator = np.zeros(m * m)
+        indicator[spec.aperture_indices] = 1.0
+        power = np.abs(np.fft.fft2(indicator.reshape(m, m))) ** 2
+        limit = RealPattern(p.coherence.grid, np.roll(
+            power / spec.aperture_indices.size ** 2, p.ref_index, axis=(0, 1)))
+        assert np.max(np.abs(p.coherence.samples - limit.samples)) <= c / np.sqrt(n)
+        for axis, fwhm in enumerate((p.fwhm_axis0, p.fwhm_axis1)):
+            cut = experiments._axis_cut(limit, p.ref_index, axis, 64)
+            # a pixel near half maximum is off by at most 2/sqrt(N) in one
+            # standard deviation and the half level by 1/sqrt(N); each shifts
+            # a crossing by its error over the limit's slope there.  The
+            # bound is 4 of those deviations, both crossings added.
+            spread = np.hypot(2.0, 1.0) / np.sqrt(n)
+            tol = 4.0 * sum(spread / s for s in _half_max_slopes(cut)) * cut.grid.pitch[0]
+            assert abs(fwhm - half_width(cut)) <= tol
 
 
 def test_speckle_refuses_a_too_wide_aperture_before_any_draw(monkeypatch):

@@ -132,6 +132,27 @@ def test_reference_from_mask_matches_closed_form():
     assert np.max(np.abs(numeric - closed)) < 0.01
 
 
+def test_blocked_mask_reference_equals_the_dense_transform_bitwise(at_one_blas_thread):
+    # the two unequal openings of the CI's mask file, on the default grids;
+    # the dense transform is the whole (detector, object) phase matrix at once
+    out = at_one_blas_thread("""
+import numpy as np
+from ghostsim.grids import make_grid
+from ghostsim.objects import TransmissionMask, reference_from_mask
+obj, det = make_grid(1, 561, 0.75e-6), make_grid(1, 256, 1.557e-6)
+t = np.zeros(561)
+t[240:260] = 1.0
+t[300:310] = 1.0
+xi = det.coords(0) / (0.532e-6 * 0.075)
+phases = np.exp(-2j * np.pi * xi[:, None] * obj.coords(0)[None, :])
+y = np.abs(phases @ (t * obj.pitch[0])) ** 2
+dense = (y - y.min()) / (y.max() - y.min())
+got = reference_from_mask(TransmissionMask(obj, t), 0.532e-6, 0.075, det).samples
+print(got.tobytes() == dense.tobytes())
+""")
+    assert out == "True"
+
+
 def test_reference_validation():
     grid = make_grid(1, 16, 1e-6)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from ghostsim.records import (
     MAGIC,
     RecordHeader,
     RecordWriter,
+    UnfinishedHeader,
     open_records,
     read_batches,
     record_rows,
@@ -129,6 +130,26 @@ def test_open_records_rejects_bad_sizes(tmp_path):
     padded.write_bytes(path.read_bytes() + b"\x00" * 3)
     with pytest.raises(RecordFormatError, match="bytes"):
         open_records(padded)
+
+
+def test_an_unfinished_file_opens_with_its_whole_rows(tmp_path):
+    # a killed run: the header still counts 0, over 5 whole rows and half a row
+    rows = np.arange(5 * 9, dtype=np.float64).reshape(5, 9)
+    path = tmp_path / "killed.gidat"
+    path.write_bytes(make_header().pack() + rows.tobytes() + b"\x00" * 36)
+    header = open_records(path)
+    assert isinstance(header, UnfinishedHeader)
+    assert header.n_records == 5
+    assert [getattr(header, f) for f in ("seed", "batch", "detector_points")] == [4, 256, 8]
+    (i1, i2), = read_batches(path, 8, [(0, 5)])
+    assert np.array_equal(i1, rows[:, 0]) and np.array_equal(i2, rows[:, 1:])
+    # less than one row: an unfinished file with no records
+    path.write_bytes(make_header().pack() + b"\x00" * 36)
+    assert open_records(path).n_records == 0
+    # a closed file is not unfinished, however many rows it holds
+    with RecordWriter(path, make_header()) as w:
+        w.append(rows[:, 0], rows[:, 1:])
+    assert type(open_records(path)) is RecordHeader
 
 
 def test_open_records_rejects_corrupt_magic(tmp_path):
