@@ -265,7 +265,8 @@ def _cmd_replay(args, config: ExperimentConfig, out: Path, notes):
     for note in result.notes:
         print(f"warning: {note}", file=sys.stderr)
     _open_out_dir(out, _PATTERNS)
-    return _emit_converge(args, config, out, notes, result, [])
+    # the manifest lists every warning printed, the file's after the config's
+    return _emit_converge(args, config, out, (*notes, *result.notes), result, [])
 
 
 def _cmd_sweep(args, config: ExperimentConfig, out: Path, notes):

@@ -5,8 +5,8 @@ Layout (little endian):
     header, 96 bytes:
         magic   6s   b"GIDAT1"
         version B    2 (1 for files written before the batch was stored)
-        pad     B    0
-        n       Q    record count (patched on close; 0 until then)
+        open    B    1 while a writer holds the file, 0 once it is closed
+        n       Q    record count (patched on close, with the open flag; 0 until then)
         points  I    detector pixel count P
         batch   I    realizations per batch of the run (0 in version 1)
         pitch   d    detector pitch [m]
@@ -23,8 +23,8 @@ Round-trips are bitwise: the body is raw IEEE-754, so replaying a file feeds
 the accumulator the exact numbers the live run produced.  ``open_records``
 validates a file (magic, version, and a size of exactly the header plus its
 records) and returns the header, or recovers the whole rows of a file whose
-run was killed before it patched in the count; ``read_batches`` is the one
-reader of the body, streaming it through one reused batch buffer, so
+run was killed before it closed, as its open flag shows; ``read_batches`` is
+the one reader of the body, streaming it through one reused batch buffer, so
 replay's memory is one batch whatever the record count.  A block of records is also the one layout
 of a batch in memory: live runs compute their intensities into a (B, 1 + P)
 block, replay reads the file into one, and both fold the block's two column
@@ -66,7 +66,7 @@ assert HEADER_SIZE == 96
 class RecordHeader:
     """File-level metadata identifying the run that produced the records.
 
-    The fields are in on-disk order, after the magic, version and pad bytes.
+    The fields are in on-disk order, after the magic, version and open flag.
     """
 
     n_records: int
@@ -87,20 +87,33 @@ class RecordHeader:
         """Record version, which is also the source stream of the intensities."""
         return 1 if self.batch is None else VERSION
 
-    def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, VERSION, 0, *astuple(self))
+    def pack(self, writing: bool = False) -> bytes:
+        """The header's bytes; ``writing`` sets the open flag, as a writer
+        does until it closes the file."""
+        return _HEADER.pack(MAGIC, VERSION, int(writing), *astuple(self))
 
     @classmethod
     def unpack(cls, blob: bytes) -> "RecordHeader":
+        """The header ``blob`` begins with, an ``UnfinishedHeader`` if its
+        open flag is set; its ``n_records`` is as stored."""
         if len(blob) < HEADER_SIZE:
             raise RecordFormatError("file too short for a record header")
-        magic, version, _pad, *values = _HEADER.unpack(blob[:HEADER_SIZE])
+        magic, version, flag, *values = _HEADER.unpack(blob[:HEADER_SIZE])
         if magic != MAGIC:
             raise RecordFormatError(f"bad magic {magic!r}")
         if version not in _READABLE:
             raise RecordFormatError(f"unsupported record version {version}")
-        header = cls(*values)
+        if flag not in (0, 1):
+            raise RecordFormatError(f"bad open flag {flag}")
+        header = (UnfinishedHeader if flag else RecordHeader)(*values)
         return replace(header, batch=None) if version == 1 else header
+
+
+@dataclass(frozen=True)
+class UnfinishedHeader(RecordHeader):
+    """The header of a file whose run never closed its writer (it was killed,
+    say), as its open flag shows: from ``open_records``, ``n_records`` counts
+    the whole rows of the body, where the file's own header says 0."""
 
 
 def remove_output(path) -> str:
@@ -148,7 +161,9 @@ def record_rows(i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
 
 
 class RecordWriter:
-    """Streams (i1, i2) batches to disk; the count is patched in on close.
+    """Streams (i1, i2) batches to disk.  The file is created with its open
+    flag set; on close the count is patched in and the flag cleared, in one
+    write of the header.
 
     The file is created new by ``open_new``: a file already at ``path`` is
     replaced, not overwritten, unless the header cannot be packed, which
@@ -156,7 +171,8 @@ class RecordWriter:
     """
 
     def __init__(self, path, header: RecordHeader):
-        blob = header.pack()  # a header that cannot be packed leaves the path as it was
+        # a header that cannot be packed leaves the path as it was
+        blob = header.pack(writing=True)
         self.header = header
         self._count = 0
         self._file = open_new(path, "xb")
@@ -190,30 +206,25 @@ class RecordWriter:
         self.close()
 
 
-@dataclass(frozen=True)
-class UnfinishedHeader(RecordHeader):
-    """The header of a file whose run never closed its writer (it was killed,
-    say): ``n_records`` counts the whole rows of the body, where the file's
-    own header says 0."""
-
-
 def open_records(path) -> RecordHeader:
     """The header of a record file, once its size is checked against it.
 
     A closed file that is not exactly the header plus ``n_records`` rows
-    (truncated, or with stray bytes) is rejected.  The writer patches the
-    count in on close, so a header that counts 0 records over a non-empty
-    body was left by a run that never closed: it is returned as an
-    ``UnfinishedHeader`` counting the body's whole rows, and a trailing
-    partial row is dropped.  The body is read by ``read_batches``.
+    (truncated, or with stray bytes) is rejected, whatever its count.  A
+    file whose open flag is still set was left by a run that never closed
+    its writer: its header counts 0, and it is returned as an
+    ``UnfinishedHeader`` counting the body's whole rows, a trailing partial
+    row dropped.  The body is read by ``read_batches``.
     """
     with open(path, "rb") as fh:
         header = RecordHeader.unpack(fh.read(HEADER_SIZE))
         size = fh.seek(0, 2)  # the offset of the end: the file's size
     row = 1 + header.detector_points
-    if header.n_records == 0 and size > HEADER_SIZE:
-        whole = (size - HEADER_SIZE) // (row * 8)
-        return UnfinishedHeader(*astuple(replace(header, n_records=whole)))
+    if isinstance(header, UnfinishedHeader):
+        if header.n_records:
+            raise RecordFormatError(
+                f"open flag set on a header counting {header.n_records} records")
+        return replace(header, n_records=(size - HEADER_SIZE) // (row * 8))
     expected = HEADER_SIZE + header.n_records * row * 8
     if size != expected:
         raise RecordFormatError(

@@ -225,32 +225,61 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
         assert (again / name).read_bytes() == (want / name).read_bytes()
 
 
+# The tests' small grid, and the defaults that the command line runs without a config.
+GEOMETRIES = {"small": SMALL, "defaults": ""}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_run_exits_2_and_records_no_refused_row(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, extra="sigma2 = 1e300\n")
-    assert main(["converge", "--config", str(cfg), "--schedule", "200",
-                 "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == "error: batch sums overflow float64\n"
-    # the header counts what the file holds, and that is not the refused batch
-    records = out / "records.gidat"
-    assert open_records(records).n_records == 0
-    assert records.stat().st_size == HEADER_SIZE
+    for name, geometry in GEOMETRIES.items():
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(geometry + "sigma2 = 1e300\n")
+        assert main(["converge", "--config", str(cfg), "--schedule", "200",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: batch sums overflow float64\n"
+        # the header counts what the file holds, and that is not the refused batch
+        records = out / "records.gidat"
+        assert open_records(records).n_records == 0
+        assert records.stat().st_size == HEADER_SIZE
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_underflowing_reconstruction_exits_2_and_keeps_its_records(tmp_path, capsys):
     # i1 * i2 ~ sigma2^2 underflows, so G is zero and cannot be normalized
+    for name, geometry in GEOMETRIES.items():
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(geometry + "sigma2 = 1e-200\n")
+        assert main(["converge", "--config", str(cfg), "--schedule", "200,400",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the reconstruction at N=200 is constant over the comparison window\n"
+        )
+        # the 200 folded records are on disk, and the header counts them
+        records = out / "records.gidat"
+        header = open_records(records)
+        assert header.n_records == 200
+        assert records.stat().st_size == HEADER_SIZE + 200 * (1 + header.detector_points) * 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_underflowing_sweep_warns_of_its_undersampled_aperture_then_exits_2(tmp_path,
+                                                                              capsys):
+    # the 10 um source undersamples the test-arm chirp over the 3.648 mm
+    # aperture alone: one warning before any draw, then the first search's
+    # reconstruction underflows as the converge's does
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("source_points = 512\nsource_pitch = 10e-6\nsigma2 = 1e-200\n"
+                   "phi_list = 1.216e-3, 3.648e-3\nschedule = 200, 400\n")
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, extra="sigma2 = 1e-200\n")
-    assert main(["converge", "--config", str(cfg), "--schedule", "200,400",
-                 "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: the reconstruction at N=200 is constant over the comparison window\n"
-    )
-    # the 200 folded records are on disk, and the header counts them
-    records = out / "records.gidat"
-    assert open_records(records).n_records == 200
-    assert records.stat().st_size == HEADER_SIZE + 200 * 65 * 8
+    assert main(["sweep-kappa", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: phi=0.003648 m: test arm: chirp undersampled on axis 0: "
+        "edge phase step 3.99 rad > pi",
+        "error: the reconstruction at N=200 is constant over the comparison window",
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -296,8 +325,8 @@ def test_a_speckle_with_subnormal_intensity_products_exits_2(tmp_path, capsys):
 
 
 def test_replay_recovers_the_whole_rows_of_an_unfinished_file(tmp_path, capsys):
-    # a run killed before it patched in its count: the header says 0, and
-    # the body ends in half a row; batches start at 0, 128, 200, 256 and 384
+    # a run killed before it closed its writer: the open flag is set, the
+    # header says 0, and the body ends in half a row; batches start at 0, 128, 200, 256 and 384
     # in both schedules, so rows up to 400 are those of a run of 200, 400
     cfg = write_config(tmp_path)
     long, fresh = tmp_path / "long", tmp_path / "fresh"
@@ -308,16 +337,16 @@ def test_replay_recovers_the_whole_rows_of_an_unfinished_file(tmp_path, capsys):
     row = (1 + header.detector_points) * 8
     body = (long / "records.gidat").read_bytes()[HEADER_SIZE:]
     killed = tmp_path / "killed.gidat"
-    killed.write_bytes(dataclasses.replace(header, n_records=0).pack()
+    killed.write_bytes(dataclasses.replace(header, n_records=0).pack(writing=True)
                        + body[: 450 * row + row // 2])
     capsys.readouterr()
     replayed = tmp_path / "replayed"
     assert main(["replay", "--config", str(cfg), "--schedule", "200,400",
                  "--records", str(killed), "--out-dir", str(replayed)]) == 0
-    assert capsys.readouterr().err == (
-        f"warning: {killed} is unfinished (its header counts 0 records): "
-        "replaying its 450 whole records\n"
-    )
+    note = f"{killed} is unfinished (its header counts 0 records): replaying its 450 whole records"
+    assert capsys.readouterr().err == f"warning: {note}\n"
+    # the manifest says so too: the outputs trace back to a recovered file
+    assert json.loads((replayed / "manifest.json").read_text())["sampling_notes"] == [note]
     for name in ("curve.csv", "pattern_N200.csv", "pattern_N400.csv"):
         assert (replayed / name).read_bytes() == (fresh / name).read_bytes()
     # a schedule past the whole rows is refused, naming their count

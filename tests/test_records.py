@@ -45,6 +45,7 @@ def test_header_is_96_bytes_and_unpacks_exactly():
     assert len(blob) == HEADER_SIZE == 96
     assert blob[:6] == MAGIC
     assert blob[6] == 2  # version byte
+    assert blob[7] == 0 and h.pack(writing=True)[7] == 1  # open flag
     assert struct.unpack_from("<I", blob, 20) == (256,)  # batch, former pad2
     assert RecordHeader.unpack(blob) == h
 
@@ -59,6 +60,9 @@ def test_header_rejects_corruption():
     bad_version = bytes(blob[:6]) + bytes([9]) + bytes(blob[7:])
     with pytest.raises(RecordFormatError, match="version"):
         RecordHeader.unpack(bad_version)
+    bad_flag = bytes(blob[:7]) + bytes([2]) + bytes(blob[8:])
+    with pytest.raises(RecordFormatError, match="bad open flag 2"):
+        RecordHeader.unpack(bad_flag)
 
 
 def test_roundtrip_is_bitwise(tmp_path):
@@ -131,25 +135,41 @@ def test_open_records_rejects_bad_sizes(tmp_path):
     with pytest.raises(RecordFormatError, match="bytes"):
         open_records(padded)
 
+    # the header alone, as a run refused at its first batch leaves it, then
+    # 147 stray bytes: two rows' worth, but the open flag is clear
+    empty = tmp_path / "empty.gidat"
+    RecordWriter(empty, make_header()).close()
+    empty.write_bytes(empty.read_bytes() + b"\x00" * 147)
+    with pytest.raises(RecordFormatError, match="file holds 243 bytes, header implies 96"):
+        open_records(empty)
+
 
 def test_an_unfinished_file_opens_with_its_whole_rows(tmp_path):
-    # a killed run: the header still counts 0, over 5 whole rows and half a row
+    # a killed run: its writer never closed, so the open flag is still set
+    # and the header counts 0, over 5 whole rows
     rows = np.arange(5 * 9, dtype=np.float64).reshape(5, 9)
     path = tmp_path / "killed.gidat"
-    path.write_bytes(make_header().pack() + rows.tobytes() + b"\x00" * 36)
+    w = RecordWriter(path, make_header())
+    w.append(rows[:, 0], rows[:, 1:])  # tofile flushes the header, then writes the rows
     header = open_records(path)
     assert isinstance(header, UnfinishedHeader)
     assert header.n_records == 5
     assert [getattr(header, f) for f in ("seed", "batch", "detector_points")] == [4, 256, 8]
     (i1, i2), = read_batches(path, 8, [(0, 5)])
     assert np.array_equal(i1, rows[:, 0]) and np.array_equal(i2, rows[:, 1:])
-    # less than one row: an unfinished file with no records
-    path.write_bytes(make_header().pack() + b"\x00" * 36)
-    assert open_records(path).n_records == 0
     # a closed file is not unfinished, however many rows it holds
-    with RecordWriter(path, make_header()) as w:
-        w.append(rows[:, 0], rows[:, 1:])
+    w.close()
     assert type(open_records(path)) is RecordHeader
+    # a trailing partial row is dropped
+    path.write_bytes(make_header().pack(writing=True) + rows.tobytes() + b"\x00" * 36)
+    assert open_records(path).n_records == 5
+    # less than one row: an unfinished file with no records
+    path.write_bytes(make_header().pack(writing=True) + b"\x00" * 36)
+    assert open_records(path).n_records == 0
+    # a writer sets the flag only while the count is still 0
+    path.write_bytes(make_header(n=3).pack(writing=True) + bytes(3 * 9 * 8))
+    with pytest.raises(RecordFormatError, match="open flag set on a header counting 3"):
+        open_records(path)
 
 
 def test_open_records_rejects_corrupt_magic(tmp_path):
