@@ -89,9 +89,14 @@ class ExperimentConfig:
                 )
         if self.slit_separation <= self.slit_width:
             raise ConfigError("slit_separation must exceed slit_width")
-        for name in ("source_points", "object_points", "detector_points", "speckle_points"):
+        for name in ("source_points", "object_points", "speckle_points"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2")
+        if self.detector_points < 3:
+            raise ConfigError(
+                f"detector_points must be at least 3, got {self.detector_points}: the error "
+                "metric splits the comparison window into bands"
+            )
         if not self.schedule or any(
             b <= a for a, b in zip(self.schedule, self.schedule[1:])
         ):

@@ -12,10 +12,11 @@ Source pixels outside the aperture are always zero, so v and K keep only the
 in-aperture columns and the draw produces only those pixels.  K is smooth
 across the detector, so it is held as the propagator to a few dozen
 Chebyshev nodes followed by a real interpolation to the detector pixels:
-a batch of realizations is one complex GEMM to the nodes and one real GEMM
-from them.  ``GhostPipeline`` builds v and K on first use, so a live run
-builds them with its first batch and replay, which folds stored
-intensities, never does.
+a batch of realizations is one complex GEMM to the nodes, then one real GEMM
+from them per chunk of at most ``OUTPUT_BLOCK`` rows, so the batch's whole
+(2B, P) product is never held.  ``GhostPipeline`` builds v and K on first
+use, so a live run builds them with its first batch and replay, which folds
+stored intensities, never does.
 
 Every run is one fold: ``fold_checkpoints`` folds batches cut lazily by
 ``batch_bounds`` (fixed by the schedule and the batch size alone) in index
@@ -63,7 +64,7 @@ from .grids import Grid
 from .objects import (TransmissionMask, double_slit, load_mask, reference_double_slit,
                       reference_from_mask)
 from .propagation import (
-    SETUP_BLOCK,
+    OUTPUT_BLOCK,
     chebyshev_factors,
     fft_chirp,
     fft_output_grid,
@@ -130,8 +131,8 @@ class GhostPipeline:
         # a block of source pixels at a time, each summed over every seen row:
         # the (rows, n_in) propagator is never held whole
         v = np.concatenate([
-            weights @ fresnel_matrix(x[a : a + SETUP_BLOCK], y, config.d1, lam, source.pitch[0])
-            for a in range(0, x.size, SETUP_BLOCK)
+            weights @ fresnel_matrix(x[a : a + OUTPUT_BLOCK], y, config.d1, lam, source.pitch[0])
+            for a in range(0, x.size, OUTPUT_BLOCK)
         ])
         to_nodes, interp = chebyshev_factors(x, self.detector_grid.coords(0), config.d, lam,
                                              source.pitch[0])
@@ -167,6 +168,13 @@ class GhostPipeline:
         (B, 1 + P) block laid out as a record row: i1 in column 0, the P
         pixels of i2 after it.  Replay reads the records back into the same
         layout, so both fold the same arrays bitwise.
+
+        The amplitudes at the nodes, z (B, m), are formed whole.  The real
+        GEMM from them, its square and the sum into i2 run over ceil(B / 64)
+        near-equal chunks of rows, each written into its rows of the block:
+        a batch of at most 64 rows is one chunk, and no chunk of a longer one
+        has fewer than 32 rows (see ``OUTPUT_BLOCK`` for why).  At one BLAS
+        thread each chunk is its rows of the whole stacked product bit for bit.
         """
         b = len(block)
         rows = np.empty((b, 1 + self.detector_grid.npoints))
@@ -174,11 +182,13 @@ class GhostPipeline:
         a1 = block @ self.test_weights
         np.add(a1.real * a1.real, a1.imag * a1.imag, out=i1)
         z = block @ self.ref_nodes
-        # the real and imaginary parts stacked, (2B, m), through one real GEMM
-        a2 = np.concatenate((z.real, z.imag)) @ self.ref_interp
-        # re*re + im*im, rounded as that expression, with one temporary fewer
-        np.multiply(a2, a2, out=a2)
-        np.add(a2[:b], a2[b:], out=i2)
+        # each chunk's real and imaginary parts stacked, (2c, m), through one real GEMM
+        n = max(1, -(-b // OUTPUT_BLOCK))  # an empty block is one empty chunk
+        for lo, hi in itertools.pairwise(j * b // n for j in range(n + 1)):
+            a2 = np.concatenate((z[lo:hi].real, z[lo:hi].imag)) @ self.ref_interp
+            # re*re + im*im, rounded as that expression, with one temporary fewer
+            np.multiply(a2, a2, out=a2)
+            np.add(a2[: hi - lo], a2[hi - lo :], out=i2[lo:hi])
         return i1, i2
 
     @functools.cached_property
@@ -424,10 +434,14 @@ def run_kappa_sweep(config: ExperimentConfig) -> list[KappaPoint]:
     with a mask file, whose openings ``slit_width`` does not describe."""
     if config.phi_list is None or len(config.phi_list) < 2:
         raise ConfigError("sweep requires phi_list with at least two apertures")
-    # every pipeline is built, so a bad aperture or reference is refused, before any search
-    pipes = [GhostPipeline.from_config(config.replace(phi=phi)) for phi in config.phi_list]
+    # every pipeline is made, so a bad aperture or reference is refused, before
+    # any search; each is let go, with the operators its search built, once
+    # that search returns
+    pipes = deque(GhostPipeline.from_config(config.replace(phi=phi))
+                  for phi in config.phi_list)
     out: list[KappaPoint] = []
-    for i, pipe in enumerate(pipes):
+    for i in range(len(pipes)):
+        pipe = pipes.popleft()
         cfg = pipe.config
         k = None
         if cfg.mask_file is None:

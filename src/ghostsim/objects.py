@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError, GridMismatchError
 from .fields import ComplexField, RealPattern
 from .grids import Grid
-from .propagation import SETUP_BLOCK
+from .propagation import OUTPUT_BLOCK
 
 
 @dataclass(eq=False)
@@ -103,8 +103,8 @@ def reference_from_mask(
     # a block of detector pixels at a time, each summed over every object
     # pixel: the (detector, object) phase matrix is never held whole
     t_hat = np.concatenate([
-        np.exp(-2j * np.pi * xi[a : a + SETUP_BLOCK, None] * x[None, :]) @ samples
-        for a in range(0, xi.size, SETUP_BLOCK)
+        np.exp(-2j * np.pi * xi[a : a + OUTPUT_BLOCK, None] * x[None, :]) @ samples
+        for a in range(0, xi.size, OUTPUT_BLOCK)
     ])
     y = np.abs(t_hat) ** 2
     lo, hi = y.min(), y.max()

@@ -22,14 +22,21 @@ from .errors import GridMismatchError
 from .fields import ComplexField
 from .grids import Grid, make_grid
 
-# Output entries per block when a set-up product is formed a block at a time
-# (``GhostPipeline._operators``, ``reference_from_mask``).  Only the output
-# side is split, never the side summed over, so each entry is the dense
-# product's dot product.  OpenBLAS's GEMV kernels take outputs in groups of
-# 4 and the remainder by another path; a multiple of 4 keeps the dense
-# product's groups.  At one BLAS thread the blocked product is then the
-# dense one bit for bit (checked in the tests at 46 to 1720 outputs).
-SETUP_BLOCK = 64
+# Output entries per block when a product is formed a block at a time, so
+# that no whole product is held.  Only the output side is split, never the
+# side summed over, so each entry is the whole product's dot product.
+# - Set-up (``GhostPipeline._operators``, ``reference_from_mask``): blocks of
+#   64 outputs, the last one shorter.  OpenBLAS's GEMV kernels take outputs
+#   in groups of 4 and the remainder by another path; a multiple of 4 keeps
+#   the whole product's groups.
+# - The reference arm's per-batch GEMM (``GhostPipeline.intensities``): a
+#   batch of B rows in ceil(B / 64) near-equal chunks, so no chunk of a
+#   longer batch has fewer than 32 rows.  A fixed-64 split would leave
+#   remainders of 1, 3 or 4 rows, which OpenBLAS's GEMM rounds differently
+#   from the same rows inside a longer product.
+# At one BLAS thread the blocked products are then the whole ones bit for
+# bit (checked in the tests at 46 to 1720 outputs and 1 to 2048 rows).
+OUTPUT_BLOCK = 64
 
 
 def _check_geometry(distance: float, wavelength: float) -> None:

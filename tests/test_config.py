@@ -38,6 +38,7 @@ def test_reference_arm_must_span_both_hops():
         {"phi": 0.0},
         {"slit_width": 400e-6},  # wider than the separation
         {"source_points": 1},
+        {"detector_points": 2},  # too few to split into bands
         {"schedule": ()},
         {"schedule": (1000, 1000)},
         {"schedule": (1,)},

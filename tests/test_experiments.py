@@ -1,6 +1,7 @@
 import itertools
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +198,55 @@ def test_the_operator_build_at_a_fine_source_pitch_peaks_under_4_mb():
         tracemalloc.stop()
     assert pipe.test_weights.size == 1720
     assert peak < 4e6
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"source_pitch": 10e-6, "phi": 4 * KAPPA_UNIT},
+        {"source_pitch": 10e-6, "phi": 12 * KAPPA_UNIT},
+        {"source_points": 2048, "source_pitch": 1e-6},
+        {"detector_points": 3, "window": (0, 2)},
+    ],
+    ids=["default", "kappa4", "kappa12", "pitch1um", "detector3"],
+)
+def test_blocked_reference_arm_equals_the_stacked_product_bitwise(at_one_blas_thread,
+                                                                  overrides):
+    # 1-300 rows hold every remainder of 1-4 rows a fixed split of 64 would
+    # leave; the reference is the batch's whole (2B, m) @ (m, P) product
+    out = at_one_blas_thread(f"""
+import numpy as np
+from ghostsim.config import ExperimentConfig
+from ghostsim.experiments import GhostPipeline
+from ghostsim.fields import draw_source_block
+pipe = GhostPipeline.from_config(ExperimentConfig(**{overrides!r}))
+nodes, interp = pipe.ref_nodes, pipe.ref_interp
+full = draw_source_block(pipe.source_spec, 0, 0, 2048)
+differ = []
+for b in [*range(1, 301), 511, 512, 513, 2048]:
+    block = full[:b]
+    z = block @ nodes
+    a2 = np.concatenate((z.real, z.imag)) @ interp
+    if pipe.intensities(block)[1].tobytes() != (a2[:b] * a2[:b] + a2[b:] * a2[b:]).tobytes():
+        differ.append(b)
+print(differ)
+""")
+    assert out == "[]"
+
+
+def test_one_batch_of_2048_rows_peaks_under_8_mb():
+    # the (2B, P) stacked product alone would be 8.4 MB at the defaults
+    pipe = GhostPipeline.from_config(ExperimentConfig())
+    block = draw_source_block(pipe.source_spec, 0, 0, 2048)
+    pipe.ref_interp  # the operators are built outside the trace
+    tracemalloc.start()
+    try:
+        pipe.intensities(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_sampled_amplitude_covariance_matches_the_pipeline_covariance():
@@ -720,6 +770,21 @@ def test_sweep_kappa_arithmetic_and_stream_separation():
     twin = run_kappa_sweep(cfg.replace(phi_list=(0.4e-3, 0.4e-3)))
     a, b = twin[0].search.curve[-1], twin[1].search.curve[-1]
     assert a.eps_global != b.eps_global
+
+
+def test_a_sweep_lets_each_aperture_go_once_its_search_returns(monkeypatch):
+    searched = []  # a weak reference to each searched pipeline
+    alive_at_start = []  # which of them were alive as each search started
+    search = experiments.run_threshold
+
+    def tracking(cfg, *, index_base, pipeline):
+        alive_at_start.append([ref() is not None for ref in searched])
+        searched.append(weakref.ref(pipeline))
+        return search(cfg, index_base=index_base, pipeline=pipeline)
+
+    monkeypatch.setattr(experiments, "run_threshold", tracking)
+    run_kappa_sweep(small_config(phi_list=(0.4e-3, 0.8e-3), schedule=(200, 400), tau=1e-9))
+    assert alive_at_start == [[], [False]]
 
 
 def test_sweep_with_permissive_tau_stops_at_first_checkpoint():
