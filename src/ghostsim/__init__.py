@@ -30,6 +30,7 @@ from .config import (
 )
 from .correlation import CorrelationAccumulator, coherence_map
 from .errors import (
+    BatchRangeError,
     ConfigError,
     DegeneratePatternError,
     GeometryError,
@@ -37,6 +38,7 @@ from .errors import (
     InsufficientSamplesError,
     NoPeakError,
     RecordFormatError,
+    Refusal,
 )
 from .experiments import (
     ConvergenceResult,

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_values, format_value, load_config, parse_value
-from .errors import (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError,
-                     NoPeakError, RecordFormatError)
+from .errors import ConfigError, Refusal
 from .experiments import (
     ConvergenceResult,
     GhostPipeline,
@@ -350,8 +349,7 @@ def main(argv=None) -> int:
         else:
             _COMMANDS[args.command](args, configs[0], out, notes)
         return 0
-    except (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError, NoPeakError,
-            RecordFormatError, OSError) as exc:
+    except (Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

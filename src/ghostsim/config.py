@@ -105,10 +105,10 @@ class ExperimentConfig:
             raise ConfigError("schedule counts must be >= 2")
         if not -(1 << 63) <= self.seed < 1 << 63:  # the record header's signed 64-bit field
             raise ConfigError(f"seed must fit a signed 64-bit integer, got {self.seed}")
+        if not 1 <= self.batch < 1 << 32:  # the record header's unsigned 32-bit field
+            raise ConfigError(f"batch must be in [1, 2**32), got {self.batch}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
         if self.n_max is not None and self.n_max < self.schedule[0]:
             raise ConfigError(
                 f"n_max = {self.n_max} is below the first checkpoint {self.schedule[0]}"

@@ -147,13 +147,13 @@ def coherence_map(acc: CorrelationAccumulator) -> RealPattern:
 
     For chaotic light this estimates the squared degree of coherence against
     the reference pixel, equal to 1 where the pattern pixel coincides with it.
-    Means that multiply to zero raise ``ZeroDivisionError``, and to a
-    subnormal number ``DegeneratePatternError`` (``check_normal_means``).
+    Means that multiply to zero or to a subnormal number raise
+    ``DegeneratePatternError`` (``check_normal_means``).
     """
     g = acc.finalize().samples
     # the product, not each mean: two tiny means multiply to an underflowed 0
     means = acc.mean1 * acc.mean2
     if np.any(means == 0.0):
-        raise ZeroDivisionError("the mean intensities multiply to zero")
+        raise DegeneratePatternError("the mean intensities multiply to zero")
     check_normal_means(means)
     return RealPattern(acc.grid, g / means)

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error that bad input causes is a ``Refusal``.  The command line reports
+one, or an ``OSError``, as a single ``error:`` line and exit status 2, and
+lets any other error through as a traceback: ``GridMismatchError`` and
+``InsufficientSamplesError`` mean a fault of the program, not of its input.
+"""
 
 
-class GeometryError(ValueError):
-    """Physical layout is inconsistent (aperture exceeds grid, d != d1 + d2, ...)."""
+class Refusal(ValueError):
+    """Bad input: a configuration, file or draw the package will not use."""
+
+
+class GeometryError(Refusal):
+    """Physical layout is inconsistent (an aperture past its grid, a slit off its grid, ...)."""
 
 
 class GridMismatchError(ValueError):
@@ -13,21 +23,21 @@ class InsufficientSamplesError(ValueError):
     """An estimate was requested from fewer than two realizations."""
 
 
-class DegeneratePatternError(ValueError):
+class DegeneratePatternError(Refusal):
     """A constant pattern cannot be normalized to unit range."""
 
 
-class BatchRangeError(ValueError):
+class BatchRangeError(Refusal):
     """A batch of intensities is negative or not finite, or its sums overflow."""
 
 
-class NoPeakError(ValueError):
+class NoPeakError(Refusal):
     """Half-width search found no interior maximum or no half crossings."""
 
 
-class RecordFormatError(ValueError):
+class RecordFormatError(Refusal):
     """An offline record file is corrupt, truncated, or from an unknown version."""
 
 
-class ConfigError(ValueError):
+class ConfigError(Refusal):
     """An experiment configuration file or value is invalid."""

@@ -558,10 +558,8 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
             cmap = coherence_map(acc)
             fwhm0 = half_width(_axis_cut(cmap, ref_index, 0, half))
             fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
-        except (ZeroDivisionError, DegeneratePatternError) as exc:  # the means underflowed
-            raise DegeneratePatternError(f"phi={phi:.6g} m: coherence map: {exc}") from None
-        except NoPeakError as exc:
-            raise NoPeakError(f"phi={phi:.6g} m: coherence map: {exc}") from None
+        except (DegeneratePatternError, NoPeakError) as exc:  # the means underflowed, or no peak
+            raise type(exc)(f"phi={phi:.6g} m: coherence map: {exc}") from None
         out.append(
             SpecklePoint(
                 phi=phi,

@@ -6,6 +6,7 @@ with inclusive edges: a sample exactly on a slit boundary transmits.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +118,13 @@ def load_mask(path, grid: Grid) -> TransmissionMask:
     """Read a one-transmittance-per-line text file onto the object grid.
 
     A file that does not hold one valid transmittance per object-grid point
-    is a bad input, so it raises ConfigError naming the file.
+    is a bad input, so it raises ConfigError naming the file.  An empty file
+    is refused as 0 rows, without numpy's warning that it holds no data.
     """
     try:
-        values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
         if values.ndim != 1:
             raise ValueError("must contain a single column")
         if values.size != grid.npoints:

@@ -105,7 +105,10 @@ def chebyshev_factors(
     and its Chebyshev coefficients fall like (omega/2)^n / n!.  The node
     count m is the smallest integer above omega with (omega/2)^m / m! <= 1e-17;
     m Chebyshev points of the second kind then carry every column to about
-    1e-13 of the largest entry.  m follows from the geometry alone.
+    1e-13 of the largest entry.  m follows from the geometry alone.  The
+    search stops at P = len(y): P nodes would cost as much as the dense
+    matrix, so there the nodes are the points y themselves, ``to_nodes`` is
+    ``fresnel_matrix(x, y, ...)`` and ``interp`` the identity.
 
     to_nodes = fresnel_matrix(x, nodes, ...) has shape (m, len(x)); interp,
     shape (len(y), m), is the real barycentric interpolation from the nodes
@@ -114,9 +117,11 @@ def chebyshev_factors(
     mid = (y.max() + y.min()) / 2.0
     half = (y.max() - y.min()) / 2.0
     omega = 2.0 * np.pi / (wavelength * distance) * (np.max(np.abs(x - mid)) + half) * half
-    m = max(2, math.floor(omega) + 1)
-    while m * math.log(omega / 2.0) - math.lgamma(m + 1) > math.log(1e-17):
+    m = min(max(2, math.floor(omega) + 1), y.size)
+    while m < y.size and m * math.log(omega / 2.0) - math.lgamma(m + 1) > math.log(1e-17):
         m += 1
+    if m == y.size:
+        return fresnel_matrix(x, y, distance, wavelength, dx), np.eye(y.size)
     nodes = mid + half * np.cos(np.pi * np.arange(m) / (m - 1))
     weights = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     weights[[0, -1]] *= 0.5

@@ -30,8 +30,8 @@ of a batch in memory: live runs compute their intensities into a (B, 1 + P)
 block, replay reads the file into one, and both fold the block's two column
 views, so the same bits meet the same arithmetic; ``record_rows`` finds the
 block behind two such views, which the writer then writes as it is.
-Version 2 means the intensities come from source stream v2
-(``fields.STREAM_VERSION``); version 1 files hold stream-v1 intensities and
+The version written is the source stream of the intensities,
+``fields.STREAM_VERSION`` (2); version 1 files hold stream-v1 intensities and
 are still read.
 
 Every output of the package, records and the command line's CSVs and
@@ -52,10 +52,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import RecordFormatError
+from .fields import STREAM_VERSION
 
 MAGIC = b"GIDAT1"
-VERSION = 2
-_READABLE = (1, 2)
+_READABLE = range(1, STREAM_VERSION + 1)
 _HEADER = struct.Struct("<6sBBQIIddddddqdd")
 HEADER_SIZE = _HEADER.size
 
@@ -85,12 +85,12 @@ class RecordHeader:
     @property
     def version(self) -> int:
         """Record version, which is also the source stream of the intensities."""
-        return 1 if self.batch is None else VERSION
+        return 1 if self.batch is None else STREAM_VERSION
 
     def pack(self, writing: bool = False) -> bytes:
         """The header's bytes; ``writing`` sets the open flag, as a writer
         does until it closes the file."""
-        return _HEADER.pack(MAGIC, VERSION, int(writing), *astuple(self))
+        return _HEADER.pack(MAGIC, STREAM_VERSION, int(writing), *astuple(self))
 
     @classmethod
     def unpack(cls, blob: bytes) -> "RecordHeader":

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghostsim import __version__, experiments
+from ghostsim import Refusal, __version__, cli, experiments
 from ghostsim.analysis import split_bands
 from ghostsim.cli import main
 from ghostsim.config import load_config
+from ghostsim.errors import (BatchRangeError, ConfigError, DegeneratePatternError, GeometryError,
+                             GridMismatchError, NoPeakError, RecordFormatError)
 from ghostsim.records import HEADER_SIZE, RecordWriter, open_records
 
 STUDIES = Path(__file__).resolve().parent.parent / "studies"
@@ -33,6 +35,12 @@ batch = 128
 
 # a 30 um source pitch undersamples the test arm's chirp over the 0.8 mm aperture
 COARSE = SMALL.replace("source_pitch = 8e-6", "source_pitch = 30e-6")
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this tree's package."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, extra="", name="run.cfg"):
@@ -887,6 +895,66 @@ def test_a_seed_past_the_header_field_exits_2_and_leaves_no_records(tmp_path, se
     assert files_under(rerun) == before  # the earlier run's records and manifest included
 
 
+@pytest.mark.parametrize("command", ["converge", "sweep-kappa"])
+def test_a_batch_past_the_header_field_exits_2_and_leaves_no_directory(tmp_path, command,
+                                                                       capsys):
+    # the record header stores the batch as an unsigned 32-bit integer
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text(SMALL.replace("batch = 128", "batch = 4294967296")
+                   + "phi_list = 0.6e-3, 1.2e-3\n")
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["converge", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(rerun)]) == 0
+    before = files_under(rerun)
+    capsys.readouterr()
+    for where in (out, rerun):
+        assert main([command, "--config", str(cfg), "--out-dir", str(where)]) == 2
+        assert capsys.readouterr().err == "error: batch must be in [1, 2**32), got 4294967296\n"
+    assert not out.exists()
+    assert files_under(rerun) == before
+
+
+def test_an_empty_mask_file_prints_one_error_line(tmp_path):
+    # numpy warns of a file with no data; the refusal is the only line printed
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "mask.cfg").write_text("mask_file = empty.txt\nschedule = 200, 400\n")
+    proc = subprocess.run([sys.executable, "-m", "ghostsim.cli", "converge", "--config",
+                           "mask.cfg", "--out-dir", "out"],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: mask file empty.txt: 0 rows, object grid expects 561\n"
+    assert not (tmp_path / "out").exists()
+
+
+REFUSALS = [ConfigError, GeometryError, DegeneratePatternError, BatchRangeError, NoPeakError,
+            RecordFormatError]
+
+
+@pytest.mark.parametrize("refusal", REFUSALS, ids=lambda cls: cls.__name__)
+def test_every_refusal_exits_2_with_one_error_line(refusal, capsys, monkeypatch):
+    assert issubclass(refusal, Refusal)
+
+    def refuse(*args):
+        raise refusal("refused input")
+
+    monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, "converge": refuse})
+    assert main(["converge"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: refused input\n")
+
+
+def test_an_error_no_input_can_cause_is_not_caught(monkeypatch):
+    # a grid mismatch is a fault of the program, reported by its traceback
+    assert not issubclass(GridMismatchError, Refusal)
+
+    def mismatch(*args):
+        raise GridMismatchError("grids differ")
+
+    monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, "converge": mismatch})
+    with pytest.raises(GridMismatchError):
+        main(["converge"])
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -919,10 +987,9 @@ print(json.dumps([after_numpy, [m for m in LAZY if m in sys.modules]]))
 
 def loaded_by(tmp_path, *commands):
     """(after import numpy, after the commands), each a list of module names."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY, json.dumps(commands)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostsim.correlation import CorrelationAccumulator, coherence_map
-from ghostsim.errors import BatchRangeError, GridMismatchError, InsufficientSamplesError
+from ghostsim.errors import (BatchRangeError, DegeneratePatternError, GridMismatchError,
+                             InsufficientSamplesError)
 from ghostsim.grids import make_grid
 
 GRID2 = make_grid(1, 2, 1e-6)
@@ -247,5 +248,5 @@ def test_coherence_map_rejects_zero_mean():
     acc = CorrelationAccumulator(GRID2)
     fold_one(acc, 0.0, [1.0, 1.0])
     fold_one(acc, 0.0, [2.0, 2.0])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(DegeneratePatternError, match="the mean intensities multiply to zero"):
         coherence_map(acc)

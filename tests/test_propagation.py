@@ -5,10 +5,12 @@ from ghostsim.errors import GridMismatchError
 from ghostsim.fields import ComplexField
 from ghostsim.grids import Grid, make_grid
 from ghostsim.propagation import (
+    chebyshev_factors,
     fft_chirp,
     fft_output_grid,
     fft_output_pitch,
     fresnel_kernel,
+    fresnel_matrix,
     point_weights,
     propagate,
     propagate_to_point,
@@ -269,3 +271,15 @@ def test_validate_sampling_reads_the_largest_offset_of_its_coordinates():
         assert got == (want if w > 1.6e-3 else [])
     # the whole grid against the axis alone aliases: its edge is 3.2 mm out
     assert len(validate_sampling(x, np.zeros(1), 0.06, LAM, 10e-6)) == 1
+
+
+@pytest.mark.parametrize("pitch", [1.0, 1e-5])
+def test_chebyshev_nodes_stop_at_the_detector_pixel_count(pitch):
+    # the default reference arm's chirp over 256 pixels at these pitches would
+    # want about 1.4e12 and 357 nodes: the pixels themselves are the nodes
+    x = make_grid(1, 512, 4e-6).coords(0)
+    x = x[np.abs(x) <= 0.86e-3]
+    y = make_grid(1, 256, pitch).coords(0)
+    to_nodes, interp = chebyshev_factors(x, y, 0.135, LAM, 4e-6)
+    assert np.array_equal(interp, np.eye(256))
+    assert np.array_equal(to_nodes, fresnel_matrix(x, y, 0.135, LAM, 4e-6))

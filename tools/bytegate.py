@@ -21,8 +21,8 @@ the last; any other REV is checked out into a temporary ``git worktree``.
 Each failed check prints ``differs: <run> (<pass>): <what>``, and the last
 line is one summary, counting every file the working tree wrote:
 
-    bytegate: equal, 17 runs, 270 files (the working tree against itself)
-    bytegate: 2 of 17 runs differ (HEAD (6b4c0207bce1) against the working tree)
+    bytegate: equal, 18 runs, 288 files (the working tree against itself)
+    bytegate: 2 of 18 runs differ (HEAD (6b4c0207bce1) against the working tree)
 
 ``run_list`` holds the runs; ``--quick`` keeps those in ``QUICK``, which run
 in under 30 s.  Exit status 0 when every run is equal, 1 when one differs.
@@ -72,6 +72,9 @@ def run_list(inputs: Path, quick: bool) -> dict[str, list[list[str]]]:
         "replay": "schedule = 200, 400\n",
         # at 3 pixels a strided and a contiguous GEMV round differently
         "replay3": "detector_points = 3\nwindow = 0, 2\nschedule = 200, 400\n",
+        # the chirp over a 2.56 mm detector wants more nodes than its 256
+        # pixels, so the pixels are the reference arm's nodes
+        "replay-pitch": "detector_pitch = 1e-5\nschedule = 200, 400\n",
         # G and the reference are normalized on a window narrower than the grid
         "replay-window": "window = 40, 200\nschedule = 200, 400\n",
         # the pipeline keeps the mask for the operators it builds on first
@@ -123,7 +126,7 @@ def run_list(inputs: Path, quick: bool) -> dict[str, list[list[str]]]:
         "converge-sigma4": one("converge", "sigma4"),
         **{f"speckle{n}": one("speckle", f"speckle{n}") for n in (200, 4000)},
         **{name: live_and_replay(name)
-           for name in ("replay", "replay3", "replay-window", "replay-mask")},
+           for name in ("replay", "replay3", "replay-pitch", "replay-window", "replay-mask")},
     }
     return {name: commands for name, commands in runs.items() if not quick or name in QUICK}
 
