@@ -8,7 +8,8 @@ intensity i1 against every pixel of a reference pattern i2:
 No Bessel correction is applied.  Batches are folded in order into float64
 sums with compensated (error-carrying) accumulation, so long runs and their
 checkpoints stay accurate to the last few ulps.  The sums are one vector
-[s1 | s2 | s12], checked and added whole, so a further sum widens it.
+[s1 | s2 | s12], checked and added whole, so a further sum widens it.  Runs
+fold (B, 1 + P) record blocks (``fold_rows``) through ``fold_batch``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (BatchRangeError, DegeneratePatternError, GridMismatchError,
                      InsufficientSamplesError)
 from .fields import RealPattern
 from .grids import Grid
-from .records import record_rows
 
 
 def _two_sum(a, b):
@@ -47,12 +47,22 @@ class CorrelationAccumulator:
         self._sums = np.zeros(1 + 2 * grid.npoints, dtype=np.float64)
         self._errs = np.zeros_like(self._sums)
 
+    def fold_rows(self, rows: np.ndarray) -> None:
+        """Fold a (B, 1 + P) record block, i1 in column 0 and the P pixels of
+        i2 (in C order on a 2D grid) after it, as live runs and replay do.
+
+        Its two column views go to ``fold_batch`` where they lie: i2 enters
+        the GEMV as a matrix with leading dimension 1 + P, not copied.  The
+        bench (perfbench/tracing.py) counts realizations in ``fold_batch``.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 1 + self.grid.npoints:
+            raise GridMismatchError("record rows do not match accumulator grid")
+        self.fold_batch(rows[:, 0], rows[:, 1:].reshape((len(rows),) + self.grid.shape))
+
     def fold_batch(self, i1: np.ndarray, i2: np.ndarray) -> None:
         """Fold a batch: i1 shape (B,), i2 shape (B, *grid.shape).
 
-        Live runs and replay pass the two column views of one C-ordered
-        (B, 1 + P) record block.  They are reduced where they lie: i2 enters
-        the GEMV as a matrix with leading dimension 1 + P, and is not copied.
         Equivalent to folding one-row batches up to float rounding; the
         batch is reduced with fixed-shape numpy sums into one vector of its
         three totals, which enters the compensated sums.  The batch is
@@ -66,11 +76,10 @@ class CorrelationAccumulator:
         n = i1.shape[0]
         if i2.shape != (n,) + self.grid.shape:
             raise GridMismatchError("batch shapes do not match accumulator grid")
-        # the block behind two record-row views is checked in one pass over
-        # contiguous memory; over the strided i2 alone numpy loops row by row
-        rows = record_rows(i1, i2)
-        parts = (i1, i2) if rows is None else (rows,)
-        ok = all(part.min(initial=0.0) >= 0.0 for part in parts)
+        # i2 row by row: over a record block's strided pixel view, a whole-array
+        # min runs through numpy's copy buffer and costs several times more
+        ok = i1.min(initial=0.0) >= 0.0 and \
+            i2.reshape(n, self.grid.npoints).min(axis=1, initial=0.0).min(initial=0.0) >= 0.0
         # an overflow is refused by the check below, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             s2 = i2.sum(axis=0).ravel()

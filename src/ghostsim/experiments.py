@@ -22,13 +22,15 @@ Every run is one fold: ``fold_checkpoints`` folds batches cut lazily by
 ``batch_bounds`` (fixed by the schedule and the batch size alone) in index
 order into one accumulator on the calling thread, records each batch it
 accepts, and hands the accumulator out at each scheduled N to be scored.
-Live runs, replay, threshold search and speckle differ only in where the
-batches come from.  Live runs and speckle share one producer,
-``_live_batches``, and both threads draw every source block.  One worker
-thread runs its jobs in the order they are queued: its rows of block k,
-claimed from the tail of one deque, batch k's intensities, its rows of
-block k + 1.  The calling thread claims rows of block k from the head and
-then folds, records and scores batch k - 1.  Every row comes from its own
+A batch is a (B, 1 + P) record block, i1 in column 0 and the pixels after
+it, from where it is made to the fold and the record file.  Live runs,
+replay, threshold search and speckle differ only in where the blocks come
+from.  Live runs and speckle share one producer, ``_live_batches``, which
+fills two output blocks in turn, and both threads draw every source block.
+One worker thread runs its jobs in the order they are queued: its rows of
+block k, claimed from the tail of one deque, batch k's intensities, its
+rows of block k + 1.  The calling thread claims rows of block k from the
+head and then folds, records and scores batch k - 1.  Every row comes from its own
 re-keyed stream, so which thread draws it, which varies from run to run,
 changes no number.  Nothing is computed or drawn ahead past a checkpoint.
 """
@@ -153,21 +155,17 @@ class GhostPipeline:
         """Real interpolation from the nodes, shape (m, P)."""
         return self._operators[2]
 
-    def batch_intensities(
-        self, start: int, stop: int, index_base: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Intensity pairs for realization indices [start, stop)."""
+    def batch_intensities(self, start: int, stop: int, index_base: int = 0) -> np.ndarray:
+        """The record block of realization indices [start, stop)."""
         return self.intensities(draw_source_block(
             self.source_spec, self.config.seed, index_base + start, stop - start
-        ))
+        ), np.empty((stop - start, 1 + self.detector_grid.npoints)))
 
-    def intensities(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Intensity pairs of a ``draw_source_block`` block of B realizations.
-
-        Returns i1 (B,) and i2 (B, P) as the two column views of one C-ordered
-        (B, 1 + P) block laid out as a record row: i1 in column 0, the P
-        pixels of i2 after it.  Replay reads the records back into the same
-        layout, so both fold the same arrays bitwise.
+    def intensities(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The intensities of a ``draw_source_block`` block of B realizations,
+        written into ``out``, a C-ordered (B, 1 + P) record block, and returned:
+        i1 in column 0, the P pixels of i2 after it.  Replay reads the records
+        back into the same layout, so both fold the same arrays bitwise.
 
         The amplitudes at the nodes, z (B, m), are formed whole.  The real
         GEMM from them, its square and the sum into i2 run over ceil(B / 64)
@@ -177,8 +175,7 @@ class GhostPipeline:
         thread each chunk is its rows of the whole stacked product bit for bit.
         """
         b = len(block)
-        rows = np.empty((b, 1 + self.detector_grid.npoints))
-        i1, i2 = rows[:, 0], rows[:, 1:]
+        i1, i2 = out[:, 0], out[:, 1:]
         a1 = block @ self.test_weights
         np.add(a1.real * a1.real, a1.imag * a1.imag, out=i1)
         z = block @ self.ref_nodes
@@ -189,7 +186,7 @@ class GhostPipeline:
             # re*re + im*im, rounded as that expression, with one temporary fewer
             np.multiply(a2, a2, out=a2)
             np.add(a2[: hi - lo], a2[hi - lo :], out=i2[lo:hi])
-        return i1, i2
+        return out
 
     @functools.cached_property
     def covariance(self) -> np.ndarray:
@@ -246,10 +243,10 @@ def batch_bounds(total: int, schedule, batch: int) -> Iterator[tuple[int, int]]:
 
 
 def fold_checkpoints(
-    grid: Grid, batches: Iterable[tuple[np.ndarray, np.ndarray]], schedule,
+    grid: Grid, batches: Iterable[np.ndarray], schedule,
     record_writer: RecordWriter | None = None,
 ) -> Iterator[tuple[int, CorrelationAccumulator]]:
-    """Fold (i1, i2) batches in order; yield (n, snapshot) at each scheduled n.
+    """Fold record blocks in order; yield (n, snapshot) at each scheduled n.
 
     The batches must be cut by ``batch_bounds`` so every checkpoint falls on
     a batch end.  Each batch the fold accepts goes to ``record_writer`` before
@@ -258,17 +255,17 @@ def fold_checkpoints(
     """
     marks = set(schedule)
     acc = CorrelationAccumulator(grid)
-    for i1, i2 in batches:
-        acc.fold_batch(i1, i2)
+    for rows in batches:
+        acc.fold_rows(rows)
         if record_writer is not None:
-            record_writer.append(i1, i2)
-        del i1, i2  # so the next batch can reuse their memory
+            record_writer.append_rows(rows)
         if acc.count in marks:
             yield acc.count, acc.copy()
 
 
-def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index_base: int):
-    """The batches ``intensities(block)`` makes of the blocks over ``bounds``.
+def _live_batches(spec: SourceSpec, seed: int, intensities, outs: list, bounds, marks,
+                  index_base: int):
+    """The record blocks ``intensities(block, out)`` fills over ``bounds``.
 
     Both threads draw every block, into one of two reused buffers, claiming
     its row offsets from one deque: the calling thread from the head, the one
@@ -280,9 +277,12 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
     takes batch k - 1 and the worker's rows of block k before it queues
     batch k, so a failure on the worker raises before more is queued.  Past a
     mark nothing is drawn ahead: a search that stops at a mark draws nothing
-    it does not fold.  Batch k + 1 is computed while the fold holds batch k,
-    so ``intensities`` must not hand out the same output buffers for two
-    batches in a row.  ``bounds`` is read at most two bounds ahead.
+    it does not fold.  ``outs`` holds the two output blocks: batch k is
+    computed into the head of ``outs[k % 2]``, and batch k + 1 into the other
+    while the fold holds batch k.  A block too short for its batch is
+    replaced in ``outs`` by a longer one, so a caller that lends the same
+    pair to runs one after another allocates it once.  ``bounds`` is read at
+    most two bounds ahead.
     """
     # imported here, not with the module: replay never draws
     from concurrent.futures import ThreadPoolExecutor
@@ -296,20 +296,23 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
         def start(k: int):
             """Read block k's bound and queue the worker's draw of its rows,
             claimed from the tail, into buffer k % 2.  Returns the bound's end,
-            the block, that job and the calling thread's draw, claimed from the
-            head; None past the last bound."""
+            the block, its output block, that job and the calling thread's
+            draw, claimed from the head; None past the last bound."""
             bound = next(bounds, None)
             if bound is None:
                 return None
             a, b = bound
             if len(buffers[k % 2]) < b - a:
                 buffers[k % 2] = np.empty((b - a, width), dtype=np.complex128)
+            if len(outs[k % 2]) < b - a:
+                outs[k % 2] = np.empty((b - a, outs[k % 2].shape[1]))
             block = buffers[k % 2][: b - a]
             rows = deque(range(b - a))
             draw = functools.partial(draw_source_block, spec, seed, index_base + a, b - a,
                                      out=block)
             theirs = worker.submit(draw, claim=rows.pop)
-            return b, block, theirs, functools.partial(draw, claim=rows.popleft)
+            return (b, block, outs[k % 2][: b - a], theirs,
+                    functools.partial(draw, claim=rows.popleft))
 
         job = started = None  # batch k - 1 until the fold gets it; block k once started
         for k in itertools.count():
@@ -317,21 +320,19 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, bounds, marks, index
                 if job is not None:
                     held, job = job.result(), None
                     yield held
-                    del held
                 started = start(k)
                 if started is None:
                     return
-            b, block, theirs, mine = started
+            b, block, out, theirs, mine = started
             mine()
             # batch k - 1, then the worker's rows of block k: a failure on the
             # worker raises here, before anything more is queued
             held = None if job is None else job.result()
             theirs.result()
-            job = worker.submit(intensities, block)  # drops batch k - 1's Future
+            job = worker.submit(intensities, block, out)  # drops batch k - 1's Future
             started = None if b in marks else start(k + 1)
             if held is not None:
                 yield held
-                del held
 
 
 def iter_checkpoints(
@@ -344,8 +345,9 @@ def iter_checkpoints(
     """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint."""
     schedule = tuple(int(n) for n in schedule)
     bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
+    outs = [np.empty((0, 1 + pipeline.detector_grid.npoints))] * 2
     batches = _live_batches(pipeline.source_spec, pipeline.config.seed, pipeline.intensities,
-                            bounds, set(schedule), index_base)
+                            outs, bounds, set(schedule), index_base)
     return fold_checkpoints(pipeline.detector_grid, batches, schedule, record_writer)
 
 
@@ -492,11 +494,12 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     batches come from ``_live_batches``, as in a live run.  Only intensities
     are needed, so each field is the compact in-aperture block times its
     entries of ``fft_chirp``, through ``fft2``, taken as its two 1D passes
-    over the lit rows, a few fields at a time, and |.|^2; the snapshot is the
-    first realization.  The worker computes batch k + 1 while the fold reads
-    batch k, so the |.|^2 of two batches in a row go to two buffers, used in
-    turn: up to 32 MB each, the second touched only by an aperture's second
-    batch.
+    over the lit rows, a few fields at a time, and |.|^2, written into the
+    pixel columns of the producer's (B, 1 + m^2) output block viewed as
+    (B, m, m), with the axis pixel in column 0; the snapshot is the first
+    realization.  A batch holds up to 32 MB of intensities, and every
+    aperture's producer is lent the same two output blocks, so each is
+    allocated, and its pages touched, once per run.
     """
     grid_in = config.speckle_grid()
     # refuse a too-wide or empty aperture before any field is drawn
@@ -512,10 +515,8 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     # stays in cache (one field at 256^2)
     chunk = max(1, 65_536 // (m * m))
     schedule = (config.speckle_n,)
-    # the schedule's one mark is its end, so the first batch is the longest;
-    # two batches alternate, as the fold holds one while the next is computed
-    power_buffers = [np.empty((min(per_batch, config.speckle_n), m, m)) for _ in range(2)]
-    out: list[SpecklePoint] = []
+    outs = [np.empty((0, 1 + m * m))] * 2
+    points: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         inside = spec.aperture_indices
         weights = chirp[inside]
@@ -528,29 +529,31 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
         lit_pixels = lit.reshape(chunk, -1)
         lit_inside = inside - r0 * m
         rows = np.zeros((chunk, m, m), dtype=np.complex128)
+        squares = np.empty((chunk, m, m))
         snapshot: RealPattern | None = None
-        powers = itertools.cycle(power_buffers)
 
-        def intensities(block):
+        def intensities(block, out):
             nonlocal snapshot
             b = len(block)
-            power = next(powers)
+            power = out[:, 1:].reshape(b, m, m)
             block *= weights
             for j in range(0, b, chunk):
                 c = min(chunk, b - j)
                 lit_pixels[:c, lit_inside] = block[j : j + c]
                 rows[:c, r0:r1] = np.fft.fft(lit[:c], axis=-1)
                 amps = np.fft.fft(rows[:c], axis=1)
-                # re*re + im*im, rounded as the plain expression, into power
-                np.multiply(amps.real, amps.real, out=power[j : j + c])
-                power[j : j + c] += np.multiply(amps.imag, amps.imag, out=amps.imag)
-            i2 = power[:b]
+                # re*re + im*im, rounded as the plain expression, summed in cache:
+                # an in-place sum on the block's rows, 8 bytes off, is slower
+                sq = np.multiply(amps.real, amps.real, out=squares[:c])
+                sq += np.multiply(amps.imag, amps.imag, out=amps.imag)
+                power[j : j + c] = sq
+            out[:, 0] = power[:, ref_index[0], ref_index[1]]
             if snapshot is None:
-                snapshot = RealPattern(grid_out, i2[0].copy())
-            return i2[:, ref_index[0], ref_index[1]], i2
+                snapshot = RealPattern(grid_out, power[0].copy())
+            return out
 
         bounds = batch_bounds(config.speckle_n, schedule, per_batch)
-        batches = _live_batches(spec, config.seed, intensities, bounds, set(schedule),
+        batches = _live_batches(spec, config.seed, intensities, outs, bounds, set(schedule),
                                 k * _STREAM_STRIDE)
         (_, acc), = fold_checkpoints(grid_out, batches, schedule)
         half = 64
@@ -560,7 +563,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
             fwhm1 = half_width(_axis_cut(cmap, ref_index, 1, half))
         except (DegeneratePatternError, NoPeakError) as exc:  # the means underflowed, or no peak
             raise type(exc)(f"phi={phi:.6g} m: coherence map: {exc}") from None
-        out.append(
+        points.append(
             SpecklePoint(
                 phi=phi,
                 n=config.speckle_n,
@@ -572,7 +575,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
                 coherence=cmap,
             )
         )
-    return out
+    return points
 
 
 def record_header_for(config: ExperimentConfig) -> RecordHeader:

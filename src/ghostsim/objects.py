@@ -117,14 +117,14 @@ def reference_from_mask(
 def load_mask(path, grid: Grid) -> TransmissionMask:
     """Read a one-transmittance-per-line text file onto the object grid.
 
-    A file that does not hold one valid transmittance per object-grid point
-    is a bad input, so it raises ConfigError naming the file.  An empty file
-    is refused as 0 rows, without numpy's warning that it holds no data.
+    A file that cannot be read or does not hold one valid transmittance per
+    object-grid point raises ConfigError naming the file and why.  An empty
+    file is refused as 0 rows, without numpy's warning that it holds no data.
     """
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
         if values.ndim != 1:
             raise ValueError("must contain a single column")
         if values.size != grid.npoints:
@@ -132,5 +132,6 @@ def load_mask(path, grid: Grid) -> TransmissionMask:
                 f"{values.size} rows, object grid expects {grid.npoints}"
             )
         return TransmissionMask(grid, values)
-    except ValueError as exc:
-        raise ConfigError(f"mask file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's, without errno and path
+        raise ConfigError(f"mask file {path}: {reason}") from None

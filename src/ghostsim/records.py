@@ -25,11 +25,11 @@ validates a file (magic, version, and a size of exactly the header plus its
 records) and returns the header, or recovers the whole rows of a file whose
 run was killed before it closed, as its open flag shows; ``read_batches`` is
 the one reader of the body, streaming it through one reused batch buffer, so
-replay's memory is one batch whatever the record count.  A block of records is also the one layout
-of a batch in memory: live runs compute their intensities into a (B, 1 + P)
-block, replay reads the file into one, and both fold the block's two column
-views, so the same bits meet the same arithmetic; ``record_rows`` finds the
-block behind two such views, which the writer then writes as it is.
+replay's memory is one batch whatever the record count.  A block of records
+is also the one layout of a batch in memory: live runs compute their
+intensities into a (B, 1 + P) block, which is folded and written as it is
+(``RecordWriter.append_rows``), and replay reads the file into one, so the
+same bits meet the same arithmetic.
 The version written is the source stream of the intensities,
 ``fields.STREAM_VERSION`` (2); version 1 files hold stream-v1 intensities and
 are still read.
@@ -140,28 +140,8 @@ def open_new(path, mode: str = "x", **kwargs):
     return open(remove_output(path), mode, **kwargs)
 
 
-def record_rows(i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
-    """The C-ordered (B, 1 + P) block of record rows whose column views are
-    i1 (B,) and i2 (B, P), or None when they are not two such views.
-
-    Live runs and ``read_batches`` hand out their batches as such views, so
-    the block can be checked and written whole, with no copy.
-    """
-    base = i1.base
-    if not (isinstance(base, np.ndarray) and i2.base is base and base.flags.c_contiguous
-            and i1.ndim == 1 and i2.ndim == 2 and i2.shape[0] == i1.shape[0]
-            and base.dtype == i1.dtype == i2.dtype == np.float64):
-        return None
-    n, width = i2.shape[0], 1 + i2.shape[1]
-    start, odd = divmod(i1.ctypes.data - base.ctypes.data, 8)
-    if odd or i1.strides != (8 * width,) or i2.strides != (8 * width, 8) \
-            or i2.ctypes.data != i1.ctypes.data + 8:
-        return None
-    return base.reshape(-1)[start : start + n * width].reshape(n, width)
-
-
 class RecordWriter:
-    """Streams (i1, i2) batches to disk.  The file is created with its open
+    """Streams record blocks to disk.  The file is created with its open
     flag set; on close the count is patched in and the flag cleared, in one
     write of the header.
 
@@ -178,18 +158,21 @@ class RecordWriter:
         self._file = open_new(path, "xb")
         self._file.write(blob)
 
+    def append_rows(self, rows: np.ndarray) -> None:
+        """Write a (B, 1 + P) float64 record block: a C-ordered one as it is."""
+        if rows.dtype != np.float64 or rows.shape[1:] != (1 + self.header.detector_points,):
+            raise ValueError("append_rows expects a float64 (B, 1 + P) block")
+        rows.tofile(self._file)
+        self._count += len(rows)
+
     def append(self, i1: np.ndarray, i2: np.ndarray) -> None:
+        """Write i1 (B,) and i2 (B, P), given as separate arrays, as one block.
+        perfbench/tracing.py wraps this name and reads the two arrays."""
         i1 = np.asarray(i1, dtype=np.float64)
         i2 = np.asarray(i2, dtype=np.float64)
         if i1.ndim != 1 or i2.shape != (i1.shape[0], self.header.detector_points):
             raise ValueError("append expects i1 (B,) and i2 (B, P)")
-        block = record_rows(i1, i2)
-        if block is None:
-            block = np.empty((i1.shape[0], 1 + i2.shape[1]), dtype=np.float64)
-            block[:, 0] = i1
-            block[:, 1:] = i2
-        block.tofile(self._file)
-        self._count += i1.shape[0]
+        self.append_rows(np.column_stack((i1, i2)))
 
     def close(self) -> None:
         if self._file.closed:
@@ -234,16 +217,16 @@ def open_records(path) -> RecordHeader:
     return header
 
 
-def read_batches(path, detector_points: int,
-                 bounds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(i1, i2) for the records [a, b) of each of ``bounds``, read in order.
+def read_batches(path, detector_points: int, bounds) -> Iterator[np.ndarray]:
+    """The (B, 1 + P) block of the records [a, b) of each of ``bounds``, read
+    in order.
 
-    Each batch is read into one reused (rows, 1 + P) buffer, and i1 (B,) and
-    i2 (B, P) are its two column views, the layout in which a live run folds
-    its batches, so memory stays at one batch and nothing is copied.  The
-    views are overwritten by the next batch.  ``bounds`` is read one at a
-    time, and the buffer grows to the longest batch yet.  Records past the
-    end of the body raise ``RecordFormatError``.
+    Each batch is read into one reused buffer and handed out as a C-ordered
+    view of its first B rows, the layout in which a live run folds its
+    batches, so memory stays at one batch and nothing is copied.  The block
+    is overwritten by the next batch.  ``bounds`` is read one at a time, and
+    the buffer grows to the longest batch yet.  Records past the end of the
+    body raise ``RecordFormatError``.
     """
     width = 1 + detector_points
     block = np.empty((0, width), dtype=np.float64)
@@ -258,4 +241,4 @@ def read_batches(path, detector_points: int,
                 raise RecordFormatError(
                     f"records up to {b} asked, the body ends after {a + got // (width * 8)}"
                 )
-            yield view[:, 0], view[:, 1:]
+            yield view

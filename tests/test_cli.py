@@ -155,7 +155,7 @@ def test_replay_at_a_small_detector_is_byte_equal_to_the_live_run(tmp_path, poin
     for name in ("curve.csv", "pattern_N200.csv", "pattern_N500.csv"):
         assert (again / name).read_bytes() == (live / name).read_bytes()
     pipe = experiments.GhostPipeline.from_config(load_config(cfg))
-    live_rows = [np.column_stack(pipe.batch_intensities(a, b))
+    live_rows = [pipe.batch_intensities(a, b)
                  for a, b in experiments.batch_bounds(500, (200, 500), 128)]
     body = (live / "records.gidat").read_bytes()[HEADER_SIZE:]
     assert body == np.concatenate(live_rows).astype("<f8").tobytes()
@@ -200,12 +200,12 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
                  "--out-dir", str(want)]) == 0
 
     appended = []
-    append = RecordWriter.append
+    append_rows = RecordWriter.append_rows
     draw = experiments.draw_source_block
 
-    def counting(self, i1, i2):
-        appended.append(len(i1))
-        append(self, i1, i2)
+    def counting(self, rows):
+        appended.append(len(rows))
+        append_rows(self, rows)
 
     def failing(spec, seed, first_index, count, **kwargs):
         # batches 0-128 | 128-200 | 200-256 | 256-384 | 384-500; both threads
@@ -214,7 +214,7 @@ def test_a_run_that_fails_partway_leaves_records_that_replay(tmp_path, monkeypat
             raise RuntimeError("draw failed")
         return draw(spec, seed, first_index, count, **kwargs)
 
-    monkeypatch.setattr(RecordWriter, "append", counting)
+    monkeypatch.setattr(RecordWriter, "append_rows", counting)
     monkeypatch.setattr(experiments, "draw_source_block", failing)
     died = tmp_path / "died"
     with pytest.raises(RuntimeError, match="draw failed"):
@@ -456,12 +456,11 @@ def test_a_batch_refused_partway_is_not_recorded(tmp_path, monkeypatch, capsys):
                  "--out-dir", str(want)]) == 0
     intensities = experiments.GhostPipeline.intensities
 
-    def overflowing(self, block):
-        i1, i2 = intensities(self, block)
-        if len(i1) == 56:  # batch 200-256: finite values whose cross sums overflow
-            i1[:] = 1e200
-            i2[:] = 1e200
-        return i1, i2
+    def overflowing(self, block, out):
+        rows = intensities(self, block, out)
+        if len(rows) == 56:  # batch 200-256: finite values whose cross sums overflow
+            rows[:] = 1e200
+        return rows
 
     monkeypatch.setattr(experiments.GhostPipeline, "intensities", overflowing)
     died = tmp_path / "died"
@@ -923,6 +922,19 @@ def test_an_empty_mask_file_prints_one_error_line(tmp_path):
                           cwd=tmp_path, env=src_env(), capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: mask file empty.txt: 0 rows, object grid expects 561\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mask, reason", [("missing.txt", "No such file or directory"),
+                                          ("adir", "Is a directory")], ids=["missing", "a-directory"])
+def test_an_unreadable_mask_file_prints_one_error_line(tmp_path, mask, reason):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "mask.cfg").write_text(f"mask_file = {mask}\nschedule = 200, 400\n")
+    proc = subprocess.run([sys.executable, "-m", "ghostsim.cli", "converge", "--config",
+                           "mask.cfg", "--out-dir", "out"],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: mask file {mask}: {reason}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -18,6 +18,19 @@ def fold_one(acc, i1, i2):
     acc.fold_batch(np.array([i1], dtype=float), np.array([i2], dtype=float))
 
 
+def state(acc):
+    """Everything a fold changes: the count and the sums and their errors, as bytes."""
+    return acc.count, acc._sums.tobytes(), acc._errs.tobytes()
+
+
+def doors(i1, i2):
+    """The batch (i1, i2) folded each way in: as separate arrays, and as the
+    (B, 1 + P) record block that holds them."""
+    rows = np.column_stack((i1, np.reshape(i2, (len(i1), -1))))
+    return {"fold_batch": lambda acc: acc.fold_batch(i1, i2),
+            "fold_rows": lambda acc: acc.fold_rows(rows)}
+
+
 def test_worked_example():
     # pairs (1,2) and (3,4): s1=4, s2=6, s12=14, G = 14/2 - 4*6/4 = 1 exactly
     acc = CorrelationAccumulator(GRID2)
@@ -54,61 +67,65 @@ def test_one_row_fold_validation():
         fold_one(acc, 1.0, [1.0, -2.0])
     with pytest.raises(GridMismatchError):
         acc.fold_batch(np.ones(4), np.ones((4, 3)))
+    for rows in (np.ones((4, 4)), np.ones((4, 2)), np.ones(3)):
+        with pytest.raises(GridMismatchError):
+            acc.fold_rows(rows)
     assert acc.count == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("arm", ["i1", "i2"])
 def test_fold_batch_rejects_bad_values_and_keeps_sums(bad, arm):
+    # through fold_batch and through fold_rows alike
     acc = CorrelationAccumulator(GRID2)
     acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    acc.fold_batch(np.array([0.1]), np.array([[0.3, 1e16]]))  # non-zero errors
+    before = state(acc)
+    assert acc._errs.any()
     i1 = np.array([1.0, 2.0, 3.0])
     i2 = np.ones((3, 2))
     if arm == "i1":
         i1[1] = bad
     else:
         i2[2, 1] = bad
-    with pytest.raises(ValueError):
-        acc.fold_batch(i1, i2)
-    assert acc.count == before[0]
-    assert acc.sum1 == before[1]
-    assert np.array_equal(acc.sum2, before[2])
-    assert np.array_equal(acc.sum12, before[3])
+    for fold in doors(i1, i2).values():
+        with pytest.raises(BatchRangeError):
+            fold(acc)
+        assert state(acc) == before
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("column", [0, 1, 2])
 def test_fold_batch_refuses_bad_values_in_record_row_views(bad, column):
-    # the batch is checked over the block behind the views, whichever column holds the value
+    # a block of record rows, folded whole or as its two column views, is
+    # checked whichever column holds the value
     acc = CorrelationAccumulator(GRID2)
     acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    before = state(acc)
     rows = np.ones((5, 3))
     rows[3, column] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(BatchRangeError):
+        acc.fold_rows(rows[1:4])
+    assert state(acc) == before
+    with pytest.raises(BatchRangeError):
         acc.fold_batch(rows[1:4, 0], rows[1:4, 1:])
-    assert acc.count == before[0]
-    assert acc.sum1 == before[1]
-    assert np.array_equal(acc.sum2, before[2])
-    assert np.array_equal(acc.sum12, before[3])
-    # a bad value in a row outside the views is not part of the batch
+    assert state(acc) == before
+    # a bad value in a row outside the block is not part of the batch
+    acc.fold_rows(rows[:3])
     acc.fold_batch(rows[:3, 0], rows[:3, 1:])
-    assert acc.count == before[0] + 3
+    assert acc.count == before[0] + 6
 
 
 def test_fold_batch_refuses_an_overflowing_cross_sum_and_keeps_sums():
     # every value and both plain sums are finite; only i1 @ i2 = 2e400 overflows
     acc = CorrelationAccumulator(make_grid(1, 3, 1e-6))
     acc.fold_batch(np.array([1.0, 2.0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    before = (acc.count, acc.sum1, acc.sum2.copy(), acc.sum12.copy())
+    before = state(acc)
     rows = np.full((2, 4), 1e200)
-    with pytest.raises(ValueError, match="overflow"):
-        acc.fold_batch(rows[:, 0], rows[:, 1:])
-    assert acc.count == before[0]
-    assert acc.sum1 == before[1]
-    assert np.array_equal(acc.sum2, before[2])
-    assert np.array_equal(acc.sum12, before[3])
+    for fold in doors(rows[:, 0], rows[:, 1:]).values():
+        with pytest.raises(BatchRangeError, match="overflow"):
+            fold(acc)
+        assert state(acc) == before
 
 
 def test_sums_keep_the_grid_shape_and_scalars_are_python_floats():
@@ -190,6 +207,24 @@ def test_fold_batch_on_record_row_views_equals_contiguous_copies(n, points):
     assert views.sum1 == copies.sum1
     assert np.array_equal(views.sum2, copies.sum2)
     assert np.array_equal(views.sum12, copies.sum12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (256,), (48, 48)], ids=["3px", "256px", "48x48"])
+def test_fold_rows_and_fold_batch_on_its_views_leave_identical_sums(shape):
+    grid = make_grid(len(shape), shape, 1e-6)
+    rng = np.random.default_rng(grid.npoints)
+    blocks = [rng.exponential(size=(n, 1 + grid.npoints)) for n in (64, 1, 37)]
+    whole, views, copies = (CorrelationAccumulator(grid) for _ in range(3))
+    for rows in blocks:
+        whole.fold_rows(rows)
+        i2 = rows[:, 1:].reshape((len(rows),) + shape)
+        views.fold_batch(rows[:, 0], i2)
+        copies.fold_batch(rows[:, 0].copy(), i2.copy())
+    assert state(whole) == state(views)
+    assert whole.count == 102
+    if grid.npoints > 3:
+        # at 3 pixels a strided and a contiguous GEMV round differently
+        assert state(whole) == state(copies)
 
 
 def test_copy_is_independent():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ghostsim.analysis import half_width, normalize_unit, pattern_errors
 from ghostsim.config import ExperimentConfig
-from ghostsim.correlation import coherence_map
+from ghostsim.correlation import CorrelationAccumulator, coherence_map
 from ghostsim import analysis, experiments
 from ghostsim.errors import BatchRangeError, ConfigError, GeometryError, RecordFormatError
 from ghostsim.experiments import (
@@ -63,6 +63,14 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+WIDTH = 1 + small_config().detector_points  # a record row of small_config
+
+
+def outs():
+    """A producer's two output blocks, for small_config's record rows."""
+    return [np.empty((0, WIDTH))] * 2
+
+
 def test_collapsed_pipeline_matches_stepwise_chain():
     cfg = small_config()
     pipe = GhostPipeline.from_config(cfg)
@@ -80,9 +88,9 @@ def test_collapsed_pipeline_matches_stepwise_chain():
     want_i1 = abs(amp1) ** 2
     want_i2 = np.abs(propagate(field, to_detector).samples) ** 2
 
-    (got_i1,), (got_i2,) = pipe.batch_intensities(5, 6)
-    assert got_i1 == pytest.approx(want_i1, rel=1e-10)
-    np.testing.assert_allclose(got_i2, want_i2, rtol=1e-10, atol=0.0)
+    (got,) = pipe.batch_intensities(5, 6)
+    assert got[0] == pytest.approx(want_i1, rel=1e-10)
+    np.testing.assert_allclose(got[1:], want_i2, rtol=1e-10, atol=0.0)
 
 
 def test_batch_intensities_match_columnwise_construction():
@@ -113,15 +121,10 @@ def test_batch_intensities_match_columnwise_construction():
     re, im = parts[: b - a], parts[b - a :]
     want_i2 = re * re + im * im
 
-    i1, i2 = pipe.batch_intensities(a, b, index_base)
-    assert np.array_equal(i1, want_i1)
-    assert np.array_equal(i2, want_i2)
-    # the two column views of one C-ordered (B, 1 + P) record block
-    rows = i1.base
-    assert rows is i2.base and rows.flags.c_contiguous
-    assert rows.shape == (b - a, 1 + cfg.detector_points)
+    # one C-ordered (B, 1 + P) record block: i1 in column 0, the pixels after it
+    rows = pipe.batch_intensities(a, b, index_base)
+    assert rows.flags.c_contiguous and rows.shape == (b - a, 1 + cfg.detector_points)
     assert np.array_equal(rows, np.column_stack((want_i1, want_i2)))
-    assert (i1.ctypes.data, i2.ctypes.data) == (rows.ctypes.data, rows.ctypes.data + 8)
 
 
 KAPPA_UNIT = 3.04e-4  # wavelength * d1 / slit_width at the defaults
@@ -228,7 +231,8 @@ for b in [*range(1, 301), 511, 512, 513, 2048]:
     block = full[:b]
     z = block @ nodes
     a2 = np.concatenate((z.real, z.imag)) @ interp
-    if pipe.intensities(block)[1].tobytes() != (a2[:b] * a2[:b] + a2[b:] * a2[b:]).tobytes():
+    rows = pipe.intensities(block, np.empty((b, 1 + interp.shape[1])))
+    if rows[:, 1:].tobytes() != (a2[:b] * a2[:b] + a2[b:] * a2[b:]).tobytes():
         differ.append(b)
 print(differ)
 """)
@@ -242,7 +246,7 @@ def test_one_batch_of_2048_rows_peaks_under_8_mb():
     pipe.ref_interp  # the operators are built outside the trace
     tracemalloc.start()
     try:
-        pipe.intensities(block)
+        pipe.intensities(block, np.empty((len(block), 1 + pipe.detector_grid.npoints)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,13 +276,12 @@ def test_sampled_amplitude_covariance_matches_the_pipeline_covariance():
 def test_run_realization_deterministic_across_calls():
     # one realization at a time, through the batch path every run takes
     pipe = GhostPipeline.from_config(small_config())
-    i1a, p2a = pipe.batch_intensities(3, 4)
-    i1b, p2b = pipe.batch_intensities(3, 4)
-    assert np.array_equal(i1a, i1b)
-    assert np.array_equal(p2a, p2b)
-    i1c, p2c = pipe.batch_intensities(4, 5)
-    assert i1c[0] != i1a[0]
-    assert not np.array_equal(p2c, p2a)
+    (a,) = pipe.batch_intensities(3, 4)
+    (b,) = pipe.batch_intensities(3, 4)
+    assert np.array_equal(a, b)
+    (c,) = pipe.batch_intensities(4, 5)
+    assert c[0] != a[0]
+    assert not np.array_equal(c[1:], a[1:])
 
 
 def test_an_opaque_mask_is_refused_when_the_pipeline_is_built(tmp_path):
@@ -441,15 +444,13 @@ def test_fold_checkpoints_records_exactly_the_batches_it_folds(tmp_path):
     rows.append(np.full((2, 4), 1e200))
     header = record_header_for(cfg)
     with RecordWriter(tmp_path / "folded.gidat", header) as writer:
-        folded = experiments.fold_checkpoints(
-            grid, ((r[:, 0], r[:, 1:]) for r in rows), (2, 5, 7), writer
-        )
+        folded = experiments.fold_checkpoints(grid, iter(rows), (2, 5, 7), writer)
         assert [n for n, _ in itertools.islice(folded, 2)] == [2, 5]
         with pytest.raises(BatchRangeError, match="overflow"):
             next(folded)
     with RecordWriter(tmp_path / "by_hand.gidat", header) as writer:
         for r in rows[:2]:
-            writer.append(r[:, 0], r[:, 1:])
+            writer.append_rows(r)
     assert open_records(tmp_path / "folded.gidat").n_records == 5
     assert (tmp_path / "folded.gidat").read_bytes() == (tmp_path / "by_hand.gidat").read_bytes()
 
@@ -463,9 +464,9 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):
     with RecordWriter(tmp_path / "serial.gidat", header) as writer:
         def serial():
             for a, b in bounds:
-                i1, i2 = pipe.batch_intensities(a, b)
-                writer.append(i1, i2)
-                yield i1, i2
+                rows = pipe.batch_intensities(a, b)
+                writer.append_rows(rows)
+                yield rows
 
         want = experiments._convergence_result(
             pipe, experiments.fold_checkpoints(pipe.detector_grid, serial(), cfg.schedule)
@@ -475,9 +476,9 @@ def test_overlapped_run_equals_a_serial_fold(tmp_path, monkeypatch, drawn_rows):
     computed_on = []
     intensities = GhostPipeline.intensities
 
-    def spying_intensities(self, block):
+    def spying_intensities(self, block, out):
         computed_on.append(threading.get_ident())
-        return intensities(self, block)
+        return intensities(self, block, out)
 
     monkeypatch.setattr(GhostPipeline, "intensities", spying_intensities)
     with RecordWriter(tmp_path / "live.gidat", header) as writer:
@@ -514,16 +515,16 @@ def test_the_worker_computes_the_next_batch_while_the_fold_holds_one():
     called = [threading.Event() for _ in bounds]  # intensities called for batch k
     calls = itertools.count()
 
-    def spied(block):
+    def spied(block, out):
         called[next(calls)].set()
-        return pipe.intensities(block)
+        return pipe.intensities(block, out)
 
     before = threading.active_count()
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, spied, iter(bounds),
-                                        set(cfg.schedule), 0)
-    for k, (i1, i2) in enumerate(batches):
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, spied, outs(),
+                                        iter(bounds), set(cfg.schedule), 0)
+    for k, rows in enumerate(batches):
         a, b = bounds[k]
-        assert len(i1) == len(i2) == b - a
+        assert rows.shape == (b - a, WIDTH)
         if k + 1 == len(bounds):
             continue
         if b in cfg.schedule:
@@ -548,7 +549,7 @@ def test_the_producer_reads_at_most_two_bounds_ahead():
             read += 1
             yield bound
 
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities,
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, outs(),
                                         counted(), set(cfg.schedule), 0)
     for j, _ in enumerate(batches):
         if bounds[j][1] in cfg.schedule:
@@ -565,7 +566,7 @@ def test_abandoning_the_producer_mid_run_draws_at_most_two_blocks_ahead(drawn_ro
     pipe = GhostPipeline.from_config(cfg)
     bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
     before = threading.active_count()
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities,
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, outs(),
                                         iter(bounds), set(cfg.schedule), 0)
     for _ in range(j + 1):
         next(batches)
@@ -628,7 +629,7 @@ def test_a_failing_draw_on_the_worker_raises_from_run_converge(monkeypatch, bloc
 def test_a_failure_on_the_worker_raises_from_run_converge(monkeypatch):
     failed_on = []
 
-    def failing(self, block):
+    def failing(self, block, out):
         failed_on.append(threading.get_ident())
         raise RuntimeError("intensities failed")
 
@@ -879,13 +880,13 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch, n, co
     live = experiments._live_batches
     computed_on, bounds_seen = [], []
 
-    def spying(spec, seed, intensities, run_bounds, *args):
-        def spied(block):
+    def spying(spec, seed, intensities, outs, run_bounds, *args):
+        def spied(block, out):
             computed_on.append(threading.get_ident())
-            return intensities(block)
+            return intensities(block, out)
         run_bounds = list(run_bounds)
         bounds_seen.append(run_bounds)
-        return live(spec, seed, spied, run_bounds, *args)
+        return live(spec, seed, spied, outs, run_bounds, *args)
 
     monkeypatch.setattr(experiments, "_live_batches", spying)
     before = threading.active_count()
@@ -898,10 +899,49 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch, n, co
     for k, (phi, p) in enumerate(zip(cfg.speckle_phi_list, points)):
         spec = SourceSpec(grid_in, phi, cfg.sigma2)
         batches = list(serial(spec, k * experiments._STREAM_STRIDE))
-        (_, acc), = experiments.fold_checkpoints(grid_out, batches, (n,))
+        # the live run folds strided views of its record blocks; these are contiguous
+        acc = CorrelationAccumulator(grid_out)
+        for i1, i2 in batches:
+            acc.fold_batch(i1, i2)
         want = coherence_map(acc)
         assert p.coherence.samples.tobytes() == want.samples.tobytes()
         assert p.snapshot.samples.tobytes() == batches[0][1][0].tobytes()
+
+
+@pytest.mark.parametrize("source", ["live", "speckle"])
+def test_the_producer_alternates_two_output_blocks(monkeypatch, source):
+    # the fold holds batch k while batch k + 1 is computed, so the two are
+    # never in one block; batch k + 2 reuses batch k's
+    live = experiments._live_batches
+    runs = []
+
+    def spying(*args):
+        runs.append([])
+        for rows in live(*args):
+            runs[-1].append(rows)
+            yield rows
+
+    monkeypatch.setattr(experiments, "_live_batches", spying)
+    if source == "live":
+        # five full batches of 128, so no block grows after the first two
+        run_converge(small_config(schedule=(640,)))
+        width, count = WIDTH, [5]
+    else:
+        # 48^2 fields cut into 1820 | 1820 | 360 at each of two apertures
+        run_speckle(ExperimentConfig(speckle_points=48, speckle_pitch=40e-6,
+                                     speckle_phi_list=(5e-4, 2.5e-4), speckle_n=4000))
+        width, count = 1 + 48 * 48, [3, 3]
+    assert [len(handed) for handed in runs] == count
+    for handed in runs:
+        assert all(rows.flags.c_contiguous and rows.shape[1] == width for rows in handed)
+        for k in range(len(handed) - 1):
+            assert not np.shares_memory(handed[k], handed[k + 1])
+        for k in range(len(handed) - 2):
+            assert handed[k + 2].ctypes.data == handed[k].ctypes.data
+            assert handed[k + 2].base is handed[k].base
+    # speckle lends every aperture's producer the same two blocks
+    for handed in runs[1:]:
+        assert all(a.base is b.base for a, b in zip(handed[:2], runs[0][:2]))
 
 
 def _half_max_slopes(cut):

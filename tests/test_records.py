@@ -13,7 +13,6 @@ from ghostsim.records import (
     UnfinishedHeader,
     open_records,
     read_batches,
-    record_rows,
 )
 
 
@@ -75,10 +74,9 @@ def test_roundtrip_is_bitwise(tmp_path):
         w.append(i1[37:], i2[37:])
     header = open_records(path)
     assert header.n_records == 100  # count patched on close
-    (got_i1, got_i2), = read_batches(path, 8, [(0, 100)])
-    assert np.array_equal(got_i1, i1)
-    assert np.array_equal(got_i2, i2)
-    assert np.array_equal(stored_rows(path), np.column_stack((i1, i2)))
+    got, = read_batches(path, 8, [(0, 100)])
+    assert np.array_equal(got, np.column_stack((i1, i2)))
+    assert np.array_equal(stored_rows(path), got)
 
 
 def test_writer_close_is_idempotent(tmp_path):
@@ -109,6 +107,9 @@ def test_writer_rejects_shape_mismatch(tmp_path):
         w.append(np.ones(3), np.ones((3, 7)))
     with pytest.raises(ValueError):
         w.append(np.ones((3, 1)), np.ones((3, 8)))
+    for rows in (np.ones((3, 8)), np.ones((3, 10)), np.ones(9), np.ones((3, 9), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            w.append_rows(rows)
     w.close()
 
 
@@ -150,13 +151,13 @@ def test_an_unfinished_file_opens_with_its_whole_rows(tmp_path):
     rows = np.arange(5 * 9, dtype=np.float64).reshape(5, 9)
     path = tmp_path / "killed.gidat"
     w = RecordWriter(path, make_header())
-    w.append(rows[:, 0], rows[:, 1:])  # tofile flushes the header, then writes the rows
+    w.append_rows(rows)  # tofile flushes the header, then writes the rows
     header = open_records(path)
     assert isinstance(header, UnfinishedHeader)
     assert header.n_records == 5
     assert [getattr(header, f) for f in ("seed", "batch", "detector_points")] == [4, 256, 8]
-    (i1, i2), = read_batches(path, 8, [(0, 5)])
-    assert np.array_equal(i1, rows[:, 0]) and np.array_equal(i2, rows[:, 1:])
+    got, = read_batches(path, 8, [(0, 5)])
+    assert np.array_equal(got, rows)
     # a closed file is not unfinished, however many rows it holds
     w.close()
     assert type(open_records(path)) is RecordHeader
@@ -195,9 +196,8 @@ def test_hand_packed_version1_file_still_opens(tmp_path):
     path = tmp_path / "v1.gidat"
     path.write_bytes(blob + rows.tobytes())
     assert open_records(path) == make_header(n=3, points=2, batch=None)
-    (i1, i2), = read_batches(path, 2, [(0, 3)])
-    assert np.array_equal(i1, rows[:, 0])
-    assert np.array_equal(i2, rows[:, 1:])
+    got, = read_batches(path, 2, [(0, 3)])
+    assert np.array_equal(got, rows)
 
 
 def test_read_batches_equal_the_mapped_slices(tmp_path):
@@ -209,16 +209,13 @@ def test_read_batches_equal_the_mapped_slices(tmp_path):
     body = stored_rows(path)
     bounds = [(0, 10), (10, 20), (20, 23)]  # a short last batch
     got = []
-    for i1, i2 in read_batches(path, header.detector_points, bounds):
-        # the two column views of one C-ordered (B, 1 + P) block
-        assert i1.strides == (9 * 8,) and i2.strides == (9 * 8, 8)
-        assert i2.ctypes.data == i1.ctypes.data + 8
-        got.append((i1.copy(), i2.copy()))
+    for rows in read_batches(path, header.detector_points, bounds):
+        assert rows.flags.c_contiguous  # one C-ordered (B, 1 + P) block
+        got.append(rows.copy())
     assert len(got) == len(bounds)
-    for (a, b), (i1, i2) in zip(bounds, got):
-        assert i1.shape == (b - a,) and i2.shape == (b - a, 8)
-        assert np.array_equal(i1, body[a:b, 0])
-        assert np.array_equal(i2, body[a:b, 1:])
+    for (a, b), rows in zip(bounds, got):
+        assert rows.shape == (b - a, 9)
+        assert np.array_equal(rows, body[a:b])
 
 
 def test_read_batches_hand_out_views_of_one_buffer(tmp_path):
@@ -228,13 +225,12 @@ def test_read_batches_hand_out_views_of_one_buffer(tmp_path):
         w.append(np.ones(rows * batches), np.ones((rows * batches, points)))
     bounds = [(k * rows, (k + 1) * rows) for k in range(batches)]
     reader = read_batches(path, points, bounds)
-    i1, i2 = next(reader)
-    buffer = i1.base
-    assert i2.base is buffer and buffer.shape == (rows, 1 + points)
+    buffer = next(reader).base
+    assert buffer.shape == (rows, 1 + points)
     tracemalloc.start()
     try:
-        for i1, i2 in reader:
-            assert i1.base is buffer and i2.base is buffer
+        for block in reader:
+            assert block.base is buffer
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -251,40 +247,20 @@ def test_read_batches_past_the_body_raise(tmp_path):
         next(batches)
 
 
-def test_record_rows_finds_the_block_behind_two_column_views():
-    buffer = np.arange(7 * 9, dtype=np.float64).reshape(7, 9)
-    for rows in (buffer, buffer[2:6], buffer[6:], buffer[3:3]):
-        block = record_rows(rows[:, 0], rows[:, 1:])
-        assert block is not None
-        assert block.shape == rows.shape and block.ctypes.data == rows.ctypes.data
-        assert block.flags.c_contiguous
-    other = np.zeros_like(buffer)
-    for i1, i2 in [
-        (buffer[:, 0].copy(), buffer[:, 1:]),  # a copy
-        (buffer[:, 0], buffer[:, 1:].copy()),
-        (buffer[:, 1], buffer[:, 2:]),  # not column 0 of a record row
-        (buffer[:, 0], other[:, 1:]),  # two blocks
-        (buffer[:4, 0], buffer[1:5, 1:]),  # rows that do not line up
-        (buffer[::2, 0], buffer[::2, 1:]),  # every other row
-        (np.ones(7), np.ones((7, 8))),
-    ]:
-        assert record_rows(i1, i2) is None
-
-
-def test_append_writes_record_row_views_as_they_are(tmp_path):
+def test_append_rows_writes_the_block_as_it_is(tmp_path):
     points, n = 256, 64
     buffer = np.random.default_rng(3).exponential(size=(n + 5, 1 + points))
     rows = buffer[2 : 2 + n]
-    with RecordWriter(tmp_path / "views.gidat", make_header(points=points)) as w:
+    with RecordWriter(tmp_path / "block.gidat", make_header(points=points)) as w:
         tracemalloc.start()
         try:
-            w.append(rows[:, 0], rows[:, 1:])
+            w.append_rows(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    with RecordWriter(tmp_path / "copies.gidat", make_header(points=points)) as w:
+    with RecordWriter(tmp_path / "arrays.gidat", make_header(points=points)) as w:
         w.append(rows[:, 0].copy(), rows[:, 1:].copy())
-    views = (tmp_path / "views.gidat").read_bytes()
-    assert views == (tmp_path / "copies.gidat").read_bytes()
-    assert views[HEADER_SIZE:] == rows.tobytes()
+    block = (tmp_path / "block.gidat").read_bytes()
+    assert block == (tmp_path / "arrays.gidat").read_bytes()
+    assert block[HEADER_SIZE:] == rows.tobytes()
     assert peak < rows.nbytes // 8  # the block is written, not copied first

@@ -48,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 QUICK = ("converge-batch3", "sweep-batch3", "speckle200", "replay", "replay3", "replay-mask")
 # The records hold every row, whichever thread drew it, and coherence_phi1.csv
-# is folded from speckle's second output buffer: a pass must write them.
+# is folded in part from the producer's second output block: a pass must write them.
 MUST_WRITE = {**{f"converge-batch{b}": "records.gidat" for b in (128, 1, 3)},
               "converge-sigma4": "records.gidat",
               **{f"speckle{n}": "coherence_phi1.csv" for n in (200, 4000)}}
@@ -86,8 +86,8 @@ def run_list(inputs: Path, quick: bool) -> dict[str, list[list[str]]]:
         # which scales each row as it is drawn, must come out byte-equal.
         "sigma4": "schedule = 200, 500, 777\nsigma2 = 4\n",
         **{f"batch{b}": f"schedule = 200, 500, 777\nbatch = {b}\n" for b in (128, 1, 3)},
-        # speckle alternates two output buffers; 4000 fields at 48^2 are
-        # three batches of up to 1820, which use both buffers again
+        # the producer alternates two output blocks; 4000 fields at 48^2 are
+        # three batches of up to 1820, which use both blocks again
         **{f"speckle{n}": "speckle_points = 48\nspeckle_pitch = 40e-6\n"
                           f"speckle_phi_list = 5e-4, 2.5e-4\nspeckle_n = {n}\n"
            for n in (200, 4000)},
