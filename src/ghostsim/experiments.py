@@ -26,7 +26,8 @@ A batch is a (B, 1 + P) record block, i1 in column 0 and the pixels after
 it, from where it is made to the fold and the record file.  Live runs,
 replay, threshold search and speckle differ only in where the blocks come
 from.  Live runs and speckle share one producer, ``_live_batches``, which
-fills two output blocks in turn, and both threads draw every source block.
+is given the schedule and the batch size, cuts its own batches, and fills
+the two output blocks it owns in turn; both threads draw every source block.
 One worker thread runs its jobs in the order they are queued: its rows of
 block k, claimed from the tail of one deque, batch k's intensities, its
 rows of block k + 1.  The calling thread claims rows of block k from the
@@ -263,33 +264,34 @@ def fold_checkpoints(
             yield acc.count, acc.copy()
 
 
-def _live_batches(spec: SourceSpec, seed: int, intensities, outs: list, bounds, marks,
-                  index_base: int):
-    """The record blocks ``intensities(block, out)`` fills over ``bounds``.
+def _live_batches(spec: SourceSpec, seed: int, intensities, columns: int, schedule,
+                  batch: int, index_base: int):
+    """The (B, ``columns``) record blocks ``intensities(block, out)`` fills,
+    one per bound of ``batch_bounds(schedule[-1], schedule, batch)``.
 
     Both threads draw every block, into one of two reused buffers, claiming
     its row offsets from one deque: the calling thread from the head, the one
     worker thread from the tail, so the split follows what each has time
     for.  The worker runs its jobs in the order they are queued: its rows of
-    block k, batch k's intensities, then, unless block k ends at a mark, its
-    rows of block k + 1.  Meanwhile the calling thread draws its rows of
-    block k and hands batch k - 1 to the fold, which also records it.  It
+    block k, batch k's intensities, then, unless block k ends at a scheduled
+    N, its rows of block k + 1.  Meanwhile the calling thread draws its rows
+    of block k and hands batch k - 1 to the fold, which also records it.  It
     takes batch k - 1 and the worker's rows of block k before it queues
     batch k, so a failure on the worker raises before more is queued.  Past a
-    mark nothing is drawn ahead: a search that stops at a mark draws nothing
-    it does not fold.  ``outs`` holds the two output blocks: batch k is
-    computed into the head of ``outs[k % 2]``, and batch k + 1 into the other
-    while the fold holds batch k.  A block too short for its batch is
-    replaced in ``outs`` by a longer one, so a caller that lends the same
-    pair to runs one after another allocates it once.  ``bounds`` is read at
-    most two bounds ahead.
+    scheduled N nothing is drawn ahead: a search that stops there draws
+    nothing it does not fold.  Batch k is computed into the head of output
+    block k % 2, and batch k + 1 into the other while the fold holds batch k.
+    Each draw buffer and output block is grown to its longest batch so far,
+    and the bounds are read at most two ahead.
     """
     # imported here, not with the module: replay never draws
     from concurrent.futures import ThreadPoolExecutor
 
+    marks = set(schedule)
+    bounds = batch_bounds(schedule[-1], schedule, batch)
     width = spec.aperture_indices.size
-    buffers = [np.empty((0, width), dtype=np.complex128)] * 2
-    bounds = iter(bounds)
+    # (draw buffer, output block) of even and odd batches
+    pairs = [(np.empty((0, width), dtype=np.complex128), np.empty((0, columns)))] * 2
 
     with ThreadPoolExecutor(max_workers=1) as worker:
 
@@ -302,17 +304,15 @@ def _live_batches(spec: SourceSpec, seed: int, intensities, outs: list, bounds, 
             if bound is None:
                 return None
             a, b = bound
-            if len(buffers[k % 2]) < b - a:
-                buffers[k % 2] = np.empty((b - a, width), dtype=np.complex128)
-            if len(outs[k % 2]) < b - a:
-                outs[k % 2] = np.empty((b - a, outs[k % 2].shape[1]))
-            block = buffers[k % 2][: b - a]
+            if len(pairs[k % 2][0]) < b - a:
+                pairs[k % 2] = (np.empty((b - a, width), dtype=np.complex128),
+                                np.empty((b - a, columns)))
+            block, out = (array[: b - a] for array in pairs[k % 2])
             rows = deque(range(b - a))
             draw = functools.partial(draw_source_block, spec, seed, index_base + a, b - a,
                                      out=block)
             theirs = worker.submit(draw, claim=rows.pop)
-            return (b, block, outs[k % 2][: b - a], theirs,
-                    functools.partial(draw, claim=rows.popleft))
+            return b, block, out, theirs, functools.partial(draw, claim=rows.popleft)
 
         job = started = None  # batch k - 1 until the fold gets it; block k once started
         for k in itertools.count():
@@ -344,10 +344,9 @@ def iter_checkpoints(
 ) -> Iterator[tuple[int, CorrelationAccumulator]]:
     """Run the Monte Carlo and yield an accumulator snapshot at each checkpoint."""
     schedule = tuple(int(n) for n in schedule)
-    bounds = batch_bounds(schedule[-1], schedule, pipeline.config.batch)
-    outs = [np.empty((0, 1 + pipeline.detector_grid.npoints))] * 2
     batches = _live_batches(pipeline.source_spec, pipeline.config.seed, pipeline.intensities,
-                            outs, bounds, set(schedule), index_base)
+                            1 + pipeline.detector_grid.npoints, schedule,
+                            pipeline.config.batch, index_base)
     return fold_checkpoints(pipeline.detector_grid, batches, schedule, record_writer)
 
 
@@ -497,9 +496,8 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     over the lit rows, a few fields at a time, and |.|^2, written into the
     pixel columns of the producer's (B, 1 + m^2) output block viewed as
     (B, m, m), with the axis pixel in column 0; the snapshot is the first
-    realization.  A batch holds up to 32 MB of intensities, and every
-    aperture's producer is lent the same two output blocks, so each is
-    allocated, and its pages touched, once per run.
+    realization.  A batch holds up to 32 MB of intensities; each aperture's
+    producer allocates its own two output blocks, which its batches reuse.
     """
     grid_in = config.speckle_grid()
     # refuse a too-wide or empty aperture before any field is drawn
@@ -515,7 +513,6 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
     # stays in cache (one field at 256^2)
     chunk = max(1, 65_536 // (m * m))
     schedule = (config.speckle_n,)
-    outs = [np.empty((0, 1 + m * m))] * 2
     points: list[SpecklePoint] = []
     for k, (phi, spec) in enumerate(zip(config.speckle_phi_list, specs)):
         inside = spec.aperture_indices
@@ -552,8 +549,7 @@ def run_speckle(config: ExperimentConfig) -> list[SpecklePoint]:
                 snapshot = RealPattern(grid_out, power[0].copy())
             return out
 
-        bounds = batch_bounds(config.speckle_n, schedule, per_batch)
-        batches = _live_batches(spec, config.seed, intensities, outs, bounds, set(schedule),
+        batches = _live_batches(spec, config.seed, intensities, 1 + m * m, schedule, per_batch,
                                 k * _STREAM_STRIDE)
         (_, acc), = fold_checkpoints(grid_out, batches, schedule)
         half = 64

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_replay_reproduces_files_byte_identical(tmp_path):
     ]) == 0
     for name in ("curve.csv", "pattern_N200.csv", "pattern_N500.csv"):
         assert (again / name).read_bytes() == (live / name).read_bytes()
+
+
+def test_the_pattern_csv_writer_equals_the_generic_csv_writer(tmp_path):
+    # write_pattern_csv inlines format_value's float rule; _write_csv is its oracle
+    rng = np.random.default_rng(34)
+    special = [-0.0, 5e-324, 1e22, 1.0]
+    columns = rng.standard_normal((3, 24)) * 10.0 ** rng.integers(-300, 300, (3, 24))
+    for j, column in enumerate(columns):
+        column[j : j + 2 * len(special) : 2] = special
+    positions, reconstruction, reference = columns.tolist()
+    stub = SimpleNamespace(grid=SimpleNamespace(coords=lambda axis: columns[0]),
+                           samples=columns[2])
+    cli.write_pattern_csv(tmp_path / "fork.csv", SimpleNamespace(samples=columns[1]),
+                          cli._pattern_columns(stub))
+    cli._write_csv(tmp_path / "generic.csv", "position_m,reconstruction,reference",
+                   zip(positions, reconstruction, reference))
+    assert (tmp_path / "fork.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 def test_replay_builds_no_operator(tmp_path, monkeypatch):

@@ -66,11 +66,6 @@ def small_config(**overrides):
 WIDTH = 1 + small_config().detector_points  # a record row of small_config
 
 
-def outs():
-    """A producer's two output blocks, for small_config's record rows."""
-    return [np.empty((0, WIDTH))] * 2
-
-
 def test_collapsed_pipeline_matches_stepwise_chain():
     cfg = small_config()
     pipe = GhostPipeline.from_config(cfg)
@@ -520,8 +515,8 @@ def test_the_worker_computes_the_next_batch_while_the_fold_holds_one():
         return pipe.intensities(block, out)
 
     before = threading.active_count()
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, spied, outs(),
-                                        iter(bounds), set(cfg.schedule), 0)
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, spied, WIDTH,
+                                        cfg.schedule, cfg.batch, 0)
     for k, rows in enumerate(batches):
         a, b = bounds[k]
         assert rows.shape == (b - a, WIDTH)
@@ -537,20 +532,21 @@ def test_the_worker_computes_the_next_batch_while_the_fold_holds_one():
     assert threading.active_count() == before
 
 
-def test_the_producer_reads_at_most_two_bounds_ahead():
+def test_the_producer_reads_at_most_two_bounds_ahead(monkeypatch):
     cfg = small_config(schedule=(200, 500, 640), batch=128)
     pipe = GhostPipeline.from_config(cfg)
     bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
     read = 0
 
-    def counted():
+    def counted(*args):
         nonlocal read
-        for bound in bounds:
+        for bound in batch_bounds(*args):
             read += 1
             yield bound
 
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, outs(),
-                                        counted(), set(cfg.schedule), 0)
+    monkeypatch.setattr(experiments, "batch_bounds", counted)
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, WIDTH,
+                                        cfg.schedule, cfg.batch, 0)
     for j, _ in enumerate(batches):
         if bounds[j][1] in cfg.schedule:
             # past a mark the next bound is read only when the fold pulls it
@@ -560,14 +556,31 @@ def test_the_producer_reads_at_most_two_bounds_ahead():
     assert read == len(bounds)
 
 
+@given(
+    marks=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=4),
+    batch=st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=25, deadline=None)
+def test_the_producer_yields_the_batches_batch_bounds_cuts(marks, batch):
+    schedule = tuple(sorted(set(marks)))
+    pipe = GhostPipeline.from_config(small_config())
+    bounds = list(batch_bounds(schedule[-1], schedule, batch))
+    batches = experiments._live_batches(pipe.source_spec, pipe.config.seed, pipe.intensities,
+                                        WIDTH, schedule, batch, 0)
+    got = [rows.copy() for rows in batches]  # the producer reuses its blocks
+    assert [len(rows) for rows in got] == [b - a for a, b in bounds]
+    for rows, (a, b) in zip(got, bounds):
+        assert rows.tobytes() == pipe.batch_intensities(a, b).tobytes()
+
+
 @pytest.mark.parametrize("j", [0, 2, 3])  # batches that end short of a mark
 def test_abandoning_the_producer_mid_run_draws_at_most_two_blocks_ahead(drawn_rows, j):
     cfg = small_config(schedule=(200, 500, 640), batch=128)
     pipe = GhostPipeline.from_config(cfg)
     bounds = list(batch_bounds(640, cfg.schedule, cfg.batch))
     before = threading.active_count()
-    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, outs(),
-                                        iter(bounds), set(cfg.schedule), 0)
+    batches = experiments._live_batches(pipe.source_spec, cfg.seed, pipe.intensities, WIDTH,
+                                        cfg.schedule, cfg.batch, 0)
     for _ in range(j + 1):
         next(batches)
     batches.close()  # while the fold holds batch j
@@ -733,6 +746,20 @@ def test_replay_rejects_foreign_or_short_records(tmp_path):
         replay_converge(cfg.replace(schedule=(200, 500)), path)
 
 
+# The header holds no object, object-grid or source-grid field, so a replay
+# under another slit or source grid folds the records of a run it did not make.
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="the record header cannot see slit_width or source_pitch")
+@pytest.mark.parametrize("field, value", [("slit_width", 90e-6), ("source_pitch", 7e-6)])
+def test_replay_rejects_records_of_another_object_or_source_grid(tmp_path, field, value):
+    cfg = small_config(schedule=(200,))
+    path = tmp_path / "records.gidat"
+    with RecordWriter(path, record_header_for(cfg)) as writer:
+        run_converge(cfg, record_writer=writer)
+    with pytest.raises(RecordFormatError, match="different configuration"):
+        replay_converge(cfg.replace(**{field: value}), path)
+
+
 def _as_version1(path):
     """Rewrite a record file's header in the version 1 layout (no batch)."""
     blob = bytearray(path.read_bytes())
@@ -878,21 +905,20 @@ def test_speckle_through_the_live_driver_equals_a_serial_fold(monkeypatch, n, co
             yield i2[:, r0, r1], i2
 
     live = experiments._live_batches
-    computed_on, bounds_seen = [], []
+    computed_on, cuts_seen = [], []
 
-    def spying(spec, seed, intensities, outs, run_bounds, *args):
+    def spying(spec, seed, intensities, columns, schedule, batch, *args):
         def spied(block, out):
             computed_on.append(threading.get_ident())
             return intensities(block, out)
-        run_bounds = list(run_bounds)
-        bounds_seen.append(run_bounds)
-        return live(spec, seed, spied, outs, run_bounds, *args)
+        cuts_seen.append((tuple(schedule), batch))
+        return live(spec, seed, spied, columns, schedule, batch, *args)
 
     monkeypatch.setattr(experiments, "_live_batches", spying)
     before = threading.active_count()
     points = run_speckle(cfg)
     assert threading.active_count() == before
-    assert bounds_seen == [bounds, bounds]
+    assert cuts_seen == [((n,), 4_194_304 // (m * m))] * 2
     assert len(computed_on) == 2 * len(bounds)
     assert threading.get_ident() not in computed_on
 
@@ -939,9 +965,6 @@ def test_the_producer_alternates_two_output_blocks(monkeypatch, source):
         for k in range(len(handed) - 2):
             assert handed[k + 2].ctypes.data == handed[k].ctypes.data
             assert handed[k + 2].base is handed[k].base
-    # speckle lends every aperture's producer the same two blocks
-    for handed in runs[1:]:
-        assert all(a.base is b.base for a, b in zip(handed[:2], runs[0][:2]))
 
 
 def _half_max_slopes(cut):

@@ -46,7 +46,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # GEMM rounding depends on the BLAS thread count, which pinning would change
 # too; one thread leaves the CPUs the only difference between the passes.
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-QUICK = ("converge-batch3", "sweep-batch3", "speckle200", "replay", "replay3", "replay-mask")
+# speckle4000 is the quick list's run whose producer reuses its output blocks:
+# speckle200 is one batch per aperture
+QUICK = ("converge-batch3", "sweep-batch3", "speckle200", "speckle4000", "replay", "replay3",
+         "replay-mask")
 # The records hold every row, whichever thread drew it, and coherence_phi1.csv
 # is folded in part from the producer's second output block: a pass must write them.
 MUST_WRITE = {**{f"converge-batch{b}": "records.gidat" for b in (128, 1, 3)},
